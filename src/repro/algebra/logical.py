@@ -30,6 +30,7 @@ from repro.algebra.expressions import AttributeRef, Comparison, Predicate
 from repro.errors import PlanError
 
 _node_ids = itertools.count(1)
+_NOT_COMPUTED = object()
 
 #: Aggregate function names supported by :class:`Aggregate`.
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
@@ -66,6 +67,9 @@ class PlanNode:
     """
 
     operator_name: str = "?"
+    #: :meth:`primary_collection`, computed on first use (plans are
+    #: immutable, and rule matching asks once per rule per variable).
+    _primary_collection: Any = _NOT_COMPUTED
 
     def __init__(self) -> None:
         self.node_id = next(_node_ids)
@@ -107,10 +111,12 @@ class PlanNode:
         its primary; joins and unions have none (a rule head naming a
         collection cannot match a multi-collection input).
         """
-        collections = self.base_collections()
-        if len(collections) == 1:
-            return next(iter(collections))
-        return None
+        primary = self._primary_collection
+        if primary is _NOT_COMPUTED:
+            collections = self.base_collections()
+            primary = next(iter(collections)) if len(collections) == 1 else None
+            self._primary_collection = primary
+        return primary
 
     def match_args(self) -> tuple[Any, ...]:
         """The argument tuple rule heads unify against (see core.rules)."""
@@ -585,10 +591,10 @@ def clone_plan(root: PlanNode) -> PlanNode:
     """Deep-copy a plan tree with *fresh* node ids.
 
     Used when a subtree must be re-costed under a different source
-    assignment (replica candidates): the estimator's subplan cache keys
-    on ``(node_id, variable)`` and cached values depend on the owning
-    source, so re-pricing a shared subtree in place would poison the
-    cache.  Scans are rebuilt too — every node in the clone is new.
+    assignment (replica candidates): an estimator memo keys on node id
+    and its values depend on the owning source, so a node object is only
+    ever priced under one wrapper.  Scans are rebuilt too — every node
+    in the clone is new.
     """
     if isinstance(root, Submit):
         return Submit(

@@ -99,6 +99,8 @@ def main() -> None:
     print(overhead.propagation_table())
     print()
     print(overhead.conflict_table())
+    print()
+    print(overhead.cache_table())
 
     banner("E5 — historical costs (§4.3.1)")
     history = run_history(config=TINY)

@@ -17,7 +17,10 @@ optimizations:
   computed per estimate with demand-driven evaluation vs. the full
   traversal;
 * **conflict-policy ablation** — formulas evaluated under lowest-value
-  vs. first-match resolution.
+  vs. first-match resolution;
+* **subplan sharing** — formulas one ``optimize()`` evaluates, its
+  candidates sharing one estimator memo, vs. the same candidates costed
+  one ``estimate()`` at a time.
 """
 
 from __future__ import annotations
@@ -134,9 +137,9 @@ class OverheadResult:
 
     def cache_table(self) -> str:
         return format_table(
-            ("subplan cache", "formulas evaluated per optimize()"),
+            ("subplan sharing", "formulas evaluated per optimize()"),
             self.cache_rows,
-            title="E4e — cross-candidate subplan cache",
+            title="E4e — cross-candidate subplan sharing (one memo per optimize())",
         )
 
 
@@ -207,24 +210,36 @@ def run_propagation_ablation() -> list[tuple[str, int, int]]:
 
 
 def run_cache_ablation() -> list[tuple[str, int]]:
-    """Optimizer work with the cross-candidate subplan cache on/off."""
+    """What sharing subplans across candidates saves: the formulas one
+    ``optimize()`` evaluates (``"on"`` — all its candidates cost through
+    one estimator memo) against the same candidates, same bounds, each
+    costed by an ``estimate()`` call of its own (``"off"``)."""
     from repro.bench.federation import build_engines, build_mediator
-    from repro.core.estimator import EstimatorOptions
 
     sql = (
         "SELECT * FROM Orders, Suppliers, Tickets "
         "WHERE Orders.supplier = Suppliers.sid "
         "AND Tickets.supplier = Suppliers.sid AND Orders.qty < 50"
     )
-    rows = []
-    for cache in (True, False):
-        engines = build_engines()
-        mediator = build_mediator("blended", engines)
-        mediator.estimator.options = EstimatorOptions(cache_subplans=cache)
-        mediator.estimator.subplan_cache = {} if cache else None
-        optimized = mediator.plan(sql)
-        rows.append(("on" if cache else "off", optimized.stats.formulas_evaluated))
-    return rows
+    mediator = build_mediator("blended", build_engines())
+    estimator = mediator.estimator
+    estimate = estimator.estimate
+    candidates: list[tuple[object, dict]] = []
+
+    def recording(plan, **kwargs):
+        candidates.append((plan, kwargs))
+        return estimate(plan, **kwargs)
+
+    estimator.estimate = recording  # type: ignore[method-assign]
+    try:
+        shared = mediator.plan(sql).stats.formulas_evaluated
+    finally:
+        del estimator.estimate
+    alone = 0
+    for plan, kwargs in candidates:
+        estimator.estimate(plan, **{**kwargs, "memo": None})
+        alone += estimator.last_counters.formulas_evaluated
+    return [("on", shared), ("off", alone)]
 
 
 def run_conflict_ablation() -> list[tuple[str, int]]:

@@ -26,6 +26,15 @@ Section 4.3.2's branch-and-bound extension is available through the
 ``bound_ms`` argument of :meth:`CostEstimator.estimate`: as soon as any
 computed (sub)plan ``TotalTime`` exceeds the bound, estimation aborts with
 a pruned result.
+
+A node's estimate never depends on its parents, and the optimizer builds
+its candidates over shared subplan objects (the dynamic-programming
+table), so a caller costing many plans may pass one ``memo`` dict to all
+its :meth:`CostEstimator.estimate` calls: each shared node is then
+unified with its rules once and each of its variables is computed once.
+The memo is the caller's and is only as valid as the rules, statistics
+and coefficients it was filled under — the optimizer makes one per
+``optimize()`` call and drops it.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.algebra.logical import PlanNode, Submit
 from repro.core.formulas import (
@@ -43,13 +52,12 @@ from repro.core.formulas import (
     RESULT_VARIABLES,
     Value,
 )
-from repro.core.scopes import RuleMatch, RuleRepository
+from repro.core.scopes import RuleMatch, RuleRepository, providing
 from repro.core.statistics import (
     ATTRIBUTE_STATISTICS,
     COLLECTION_STATISTICS,
     AttributeStats,
     CollectionStats,
-    Constant,
     StatisticsCatalog,
 )
 from repro.errors import (
@@ -85,13 +93,6 @@ class EstimatorOptions:
     #: Concurrency slots assumed by the parallel combinator (None = unbounded);
     #: should match ``ExecutorOptions.max_concurrency``.
     max_concurrency: int | None = None
-    #: Cache computed (node, variable) values across estimate() calls.
-    #: Sound because a node's estimate never depends on its parents, and
-    #: the optimizer reuses subplan objects across candidate plans (the
-    #: dynamic-programming table), so shared subtrees cost once.  The
-    #: cache must be invalidated when rules, statistics or coefficients
-    #: change — registration does this automatically.
-    cache_subplans: bool = False
     #: Statistics assumed for collections absent from the catalog (§6:
     #: "In case they are not provided, standard values are given").
     default_count_object: int = 1000
@@ -119,6 +120,15 @@ class NodeEstimate:
     node: PlanNode
     values: dict[str, Value] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
+    #: Estimator bookkeeping, per variable: the largest ``TotalTime``
+    #: computed at or beneath this node while the variable was evaluated —
+    #: what a §4.3.2 bound must be checked against when the value is
+    #: served from a memo instead of being evaluated again.
+    peaks: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
+    #: Estimator bookkeeping: the owning source and the rules unified with
+    #: the node (once, on the first variable that needs them).
+    source: str | None = field(default=None, repr=False, compare=False)
+    matches: list[RuleMatch] | None = field(default=None, repr=False, compare=False)
 
     def value(self, variable: str) -> Value:
         return self.values[variable]
@@ -283,9 +293,7 @@ class _NodeContext:
                 # A bare child reference has no scalar value; expose its
                 # estimated cardinality, the most common intent.
                 return self.estimation.value_of(bound, "CountObject")
-            if isinstance(bound, (int, float, str, bool, Constant)):
-                return bound if not isinstance(bound, Constant) else bound
-            return bound  # predicates, attribute tuples: for functions
+            return bound  # scalars; predicates, attribute tuples: for functions
         # 3. the node's own result variable ("Variables without a
         #    collection name refer to the result of the formula")
         if name in RESULT_VARIABLES or name in DERIVED_VARIABLES:
@@ -432,80 +440,73 @@ class _NodeContext:
         return self.estimation.estimator.options
 
 
+#: ``NodeEstimate.peaks`` value when no TotalTime was computed beneath.
+_NO_TIME = -math.inf
+
+
 class _Estimation:
-    """State of one estimate() run: memo tables, counters, prune bound."""
+    """State of one estimate() run: the node table, counters, prune bound."""
 
     def __init__(
         self,
         estimator: "CostEstimator",
-        sources: Mapping[int, str | None],
+        table: dict[int, NodeEstimate],
         bound_ms: float | None,
     ) -> None:
         self.estimator = estimator
-        self.sources = sources
+        #: node id -> estimate, for every node of the plan; the caller's
+        #: memo when one was passed, so entries may arrive already filled.
+        self.table = table
         self.bound_ms = bound_ms
-        self.estimates: dict[int, NodeEstimate] = {}
         self.in_progress: set[tuple[int, str]] = set()
         self.counters = EstimatorCounters()
-
-    def estimate_node(self, node: PlanNode) -> NodeEstimate:
-        if node.node_id not in self.estimates:
-            self.counters.nodes_visited += 1
-            self.estimates[node.node_id] = NodeEstimate(node=node)
-        return self.estimates[node.node_id]
+        #: Largest TotalTime computed so far beneath the variable being
+        #: evaluated (one running value per :meth:`value_of` frame).
+        self.peak = _NO_TIME
 
     def value_of(self, node: PlanNode, variable: str) -> Value:
         """Demand-driven Step-2/3 evaluation with memoization."""
-        estimate = self.estimate_node(node)
-        if variable in estimate.values:
-            return estimate.values[variable]
-        cache = self.estimator.subplan_cache
-        if cache is not None:
-            cached = cache.get((node.node_id, variable))
-            if cached is not None:
-                value, provenance = cached
-                estimate.values[variable] = value
-                estimate.provenance[variable] = provenance
-                # Count the variable before the §4.3.2 bound check, exactly
-                # like the non-cached path below: a cached TotalTime that
-                # trips the bound must leave the same counter trail, or
-                # OptimizerStats undercounts pruned work on warm caches.
-                self.counters.variables_computed += 1
-                if (
-                    variable == "TotalTime"
-                    and self.bound_ms is not None
-                    and isinstance(value, (int, float))
-                    and value > self.bound_ms
-                ):
-                    raise PlanPruned(float(value))
-                return value
-        if variable in DERIVED_VARIABLES:
-            value = self._derived(node, variable)
-            estimate.values[variable] = value
-            estimate.provenance[variable] = "derived"
-            return value
+        estimate = self.table[node.node_id]
+        values = estimate.values
+        if variable in values:
+            # Computed earlier in this run, or by an earlier run sharing the
+            # memo.  §4.3.2 fires on *any* TotalTime computed while a plan
+            # is costed, so skipping the evaluation must not skip the
+            # check: replay it against everything evaluated beneath.
+            peak = estimate.peaks[variable]
+            if peak > self.peak:
+                self.peak = peak
+                if self.bound_ms is not None and peak > self.bound_ms:
+                    # The read that pruned the plan is the one variable it
+                    # cost, as when a freshly computed TotalTime trips.
+                    self.counters.variables_computed += 1
+                    raise PlanPruned(peak)
+            return values[variable]
         key = (node.node_id, variable)
         if key in self.in_progress:
             raise FormulaError(
                 f"cyclic dependency computing {variable} of {node.describe()}"
             )
         self.in_progress.add(key)
+        outer_peak = self.peak
+        self.peak = _NO_TIME
         try:
-            value, provenance = self._compute(node, variable)
+            if variable in DERIVED_VARIABLES:
+                value, provenance = self._derived(node, variable), "derived"
+            else:
+                value, provenance = self._compute(estimate, variable)
+                self.counters.variables_computed += 1
+            is_time = variable == "TotalTime" and isinstance(value, (int, float))
+            if is_time and value > self.peak:
+                self.peak = float(value)
+            values[variable] = value
+            estimate.provenance[variable] = provenance
+            estimate.peaks[variable] = self.peak
         finally:
             self.in_progress.discard(key)
-        estimate.values[variable] = value
-        estimate.provenance[variable] = provenance
-        cache = self.estimator.subplan_cache
-        if cache is not None:
-            cache[(node.node_id, variable)] = (value, provenance)
-        self.counters.variables_computed += 1
-        if (
-            variable == "TotalTime"
-            and self.bound_ms is not None
-            and isinstance(value, (int, float))
-            and value > self.bound_ms
-        ):
+            if outer_peak > self.peak:
+                self.peak = outer_peak
+        if is_time and self.bound_ms is not None and value > self.bound_ms:
             raise PlanPruned(float(value))
         return value
 
@@ -515,41 +516,42 @@ class _Estimation:
         size = float(self.value_of(node, "TotalSize"))  # type: ignore[arg-type]
         return size / max(1.0, count)
 
-    def _compute(self, node: PlanNode, variable: str) -> tuple[Value, str]:
-        source = self.sources.get(node.node_id)
+    def _compute(self, estimate: NodeEstimate, variable: str) -> tuple[Value, str]:
+        node = estimate.node
+        source = estimate.source
         self.counters.match_attempts += 1
-        matches = self.estimator.repository.matches_providing(node, source, variable)
+        if estimate.matches is None:
+            # Unify the node with its candidate rules once; every variable
+            # of the node is then served from that list.
+            self.counters.nodes_visited += 1
+            estimate.matches = self.estimator.repository.matches(node, source)
+        matches = providing(estimate.matches, variable)
         if not matches:
             raise NoApplicableRuleError(
                 f"no rule provides {variable} for {node.describe()} "
                 f"(source {source or 'mediator'}) — is the generic model installed?"
             )
-        policy = self.estimator.options.conflict_policy
+        lowest = self.estimator.options.conflict_policy is ConflictPolicy.LOWEST
         best_value: Value | None = None
-        best_provenance = ""
-        best_scope = ""
+        best: RuleMatch | None = None
         for match in matches:
             ctx = _NodeContext(self, node, source, match)
             for formula in match.rule.formulas_for(variable):
                 self.counters.formulas_evaluated += 1
                 value = formula.evaluate(ctx)
-                improves = best_value is None or (
-                    policy is ConflictPolicy.LOWEST
+                if best is None or (
+                    lowest
                     and isinstance(value, (int, float))
                     and isinstance(best_value, (int, float))
                     and value < best_value
-                )
-                if improves:
-                    best_value = value
-                    best_scope = str(match.scope)
-                    best_provenance = (
-                        f"{match.scope}[{match.scoped.source}]: {match.rule.name}"
-                    )
-                if policy is ConflictPolicy.FIRST:
+                ):
+                    best_value, best = value, match
+                if not lowest:
                     break
-            if policy is ConflictPolicy.FIRST and best_value is not None:
+            if not lowest and best is not None:
                 break
-        assert best_value is not None
+        assert best is not None and best_value is not None
+        best_provenance = best.scoped.label
         # Online calibration overlay: wrapper-owned predictions are
         # multiplied by the active coefficient for (wrapper, scope,
         # variable).  Mediator-side nodes (source None) are never
@@ -561,7 +563,9 @@ class _Estimation:
             and isinstance(best_value, (int, float))
             and calibration.active.multipliers
         ):
-            multiplier = calibration.multiplier_for(source, best_scope, variable)
+            multiplier = calibration.multiplier_for(
+                source, str(best.scope), variable
+            )
             if multiplier != 1.0:
                 best_value = float(best_value) * multiplier
                 best_provenance += (
@@ -602,17 +606,6 @@ class CostEstimator:
         #: :class:`repro.mediator.calibration.CalibrationState`); the
         #: mediator wires the catalog's state in.  None = seed behaviour.
         self.calibration: Any = None
-        #: (node_id, variable) -> (value, provenance); None when disabled.
-        self.subplan_cache: dict[tuple[int, str], tuple[Value, str]] | None = (
-            {} if self.options.cache_subplans else None
-        )
-
-    def invalidate_cache(self) -> None:
-        """Drop cached subplan values.  Call after anything the estimates
-        depend on changes: rule (re)registration, statistics updates,
-        coefficient adjustment."""
-        if self.subplan_cache is not None:
-            self.subplan_cache.clear()
 
     # -- environments ------------------------------------------------------------
 
@@ -661,6 +654,7 @@ class CostEstimator:
         default_source: str | None = None,
         bound_ms: float | None = None,
         variables: tuple[str, ...] = ("TotalTime", "CountObject", "TotalSize"),
+        memo: dict[int, NodeEstimate] | None = None,
     ) -> PlanEstimate:
         """Cost a plan.
 
@@ -672,16 +666,28 @@ class CostEstimator:
             bound_ms: §4.3.2 pruning bound — estimation aborts as soon as
                 any computed TotalTime exceeds it.
             variables: which root variables the caller needs.
+            memo: node id → estimate, owned by the caller and shared by
+                the calls that cost plans built over the same subplan
+                objects: a shared node is unified and each of its
+                variables computed by the first call that needs it.  A
+                pruning bound still sees every TotalTime beneath a
+                memoised value.  Pass one memo only to calls made under
+                the same rules, statistics, coefficients and
+                ``default_source``, and drop it afterwards.
 
         Returns:
             A :class:`PlanEstimate`; ``pruned`` is True when the bound cut
-            the estimation short.
+            the estimation short.  ``nodes`` holds the costed nodes of
+            ``plan`` and no others; with a memo a node may carry variables
+            that another plan sharing it demanded.
         """
         hotpath = self.hotpath
         if hotpath.enabled:
             with hotpath.phase("estimate"):
-                return self._estimate_traced(plan, default_source, bound_ms, variables)
-        return self._estimate_traced(plan, default_source, bound_ms, variables)
+                return self._estimate_traced(
+                    plan, default_source, bound_ms, variables, memo
+                )
+        return self._estimate_traced(plan, default_source, bound_ms, variables, memo)
 
     def _estimate_traced(
         self,
@@ -689,13 +695,14 @@ class CostEstimator:
         default_source: str | None,
         bound_ms: float | None,
         variables: tuple[str, ...],
+        memo: dict[int, NodeEstimate] | None,
     ) -> PlanEstimate:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._estimate(plan, default_source, bound_ms, variables)
+            return self._estimate(plan, default_source, bound_ms, variables, memo)
         span = tracer.start("estimate", kind="estimate", plan=plan.describe())
         try:
-            result = self._estimate(plan, default_source, bound_ms, variables)
+            result = self._estimate(plan, default_source, bound_ms, variables, memo)
         except Exception:
             tracer.end(span, error=True)
             raise
@@ -715,10 +722,12 @@ class CostEstimator:
         default_source: str | None,
         bound_ms: float | None,
         variables: tuple[str, ...],
+        memo: dict[int, NodeEstimate] | None,
     ) -> PlanEstimate:
-        sources = self._assign_sources(plan, default_source)
-        estimation = _Estimation(self, sources, bound_ms)
-        pruned = False
+        table = memo if memo is not None else {}
+        reachable = self._enter(plan, default_source, table)
+        estimation = _Estimation(self, table, bound_ms)
+        exceeded: float | None = None
         try:
             if self.options.propagate_required:
                 for variable in variables:
@@ -726,24 +735,23 @@ class CostEstimator:
             else:
                 # Unoptimized Figure 11: every node computes every variable.
                 self._estimate_eagerly(plan, estimation)
-        except PlanPruned:
-            pruned = True
+        except PlanPruned as pruned:
+            exceeded = pruned.exceeded_ms
         self.last_counters = estimation.counters
-        root = estimation.estimate_node(plan)
-        if pruned and "TotalTime" not in root.values:
-            # Surface the partial cost that tripped the bound.
-            exceeded = max(
-                (
-                    float(e.values["TotalTime"])  # type: ignore[arg-type]
-                    for e in estimation.estimates.values()
-                    if "TotalTime" in e.values
-                ),
-                default=math.inf,
+        root = reachable[0]
+        if exceeded is not None and root.values.get("TotalTime") != exceeded:
+            # Surface the partial cost that tripped the bound — on a copy:
+            # the node's own estimate may be shared through the memo (and
+            # may hold a complete TotalTime that is itself within bound).
+            root = NodeEstimate(
+                plan,
+                {**root.values, "TotalTime": exceeded},
+                {**root.provenance, "TotalTime": "pruned (§4.3.2 bound exceeded)"},
             )
-            root.values["TotalTime"] = exceeded
-            root.provenance["TotalTime"] = "pruned (§4.3.2 bound exceeded)"
+        nodes = {e.node.node_id: e for e in reachable if e.values}
+        nodes[plan.node_id] = root
         return PlanEstimate(
-            plan=plan, root=root, nodes=estimation.estimates, pruned=pruned
+            plan=plan, root=root, nodes=nodes, pruned=exceeded is not None
         )
 
     def _estimate_eagerly(self, node: PlanNode, estimation: _Estimation) -> None:
@@ -753,26 +761,29 @@ class CostEstimator:
             estimation.value_of(node, variable)
 
     @staticmethod
-    def _assign_sources(
-        plan: PlanNode, default_source: str | None
-    ) -> dict[int, str | None]:
-        """Map node ids to owning sources: below a Submit, the wrapper;
-        elsewhere the default."""
-        sources: dict[int, str | None] = {}
+    def _enter(
+        plan: PlanNode, default_source: str | None, table: dict[int, NodeEstimate]
+    ) -> list[NodeEstimate]:
+        """The estimates of the plan's nodes in pre-order, entering into
+        ``table`` those it lacks with their owning source: below a Submit,
+        the wrapper; elsewhere the default."""
+        reachable: list[NodeEstimate] = []
 
         def walk(node: PlanNode, current: str | None) -> None:
+            below = current
             if isinstance(node, Submit):
                 # The Submit node itself is costed mediator-side (it models
                 # the communication step); its subtree runs at the wrapper.
-                sources[node.node_id] = None
-                walk(node.child, node.wrapper)
-                return
-            sources[node.node_id] = current
+                current, below = None, node.wrapper
+            estimate = table.get(node.node_id)
+            if estimate is None:
+                estimate = table[node.node_id] = NodeEstimate(node, source=current)
+            reachable.append(estimate)
             for child in node.children:
-                walk(child, current)
+                walk(child, below)
 
         walk(plan, default_source)
-        return sources
+        return reachable
 
 
 def estimate_once(

@@ -28,7 +28,7 @@ extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence, Union as TUnion
 
 from repro.algebra.expressions import AttributeRef, Comparison, Literal, Predicate
@@ -314,13 +314,20 @@ class CostRule:
         head: the operator pattern.
         formulas: ordered formula list (result and local assignments).
         name: optional label for provenance (shown by explain()).
-        order: declaration order within its scope — the paper's tie-break.
+        order: declaration order as the implementor wrote it (the CDL
+            compiler numbers a file's rules).  A repository does not read
+            or write it: the per-scope tie-break order of a registered
+            rule lives on its :class:`~repro.core.scopes.ScopedRule`.
     """
 
     head: OperatorPattern
     formulas: list[Formula]
     name: str = ""
     order: int = 0
+    #: The grammar result variables this rule can compute.
+    provides: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: Local (non-result) variables assigned by the body.
+    locals_: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.formulas:
@@ -328,19 +335,24 @@ class CostRule:
         if not self.name:
             self.name = str(self.head)
 
-    @property
-    def provides(self) -> set[str]:
-        """The grammar result variables this rule can compute."""
-        return {f.target for f in self.formulas if f.target in RESULT_VARIABLES}
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        if name == "formulas":
+            # The estimator asks these three questions once per formula
+            # evaluation, so the answers are tabulated whenever the body is
+            # (re)assigned — §4.3.1 history replaces a rule's body in place.
+            by_target: dict[str, list[Formula]] = {}
+            for formula in value:
+                by_target.setdefault(formula.target, []).append(formula)
+            self._by_target = {
+                target: tuple(group) for target, group in by_target.items()
+            }
+            self.provides = frozenset(by_target).intersection(RESULT_VARIABLES)
+            self.locals_ = frozenset(by_target).difference(RESULT_VARIABLES)
 
-    @property
-    def locals_(self) -> set[str]:
-        """Local (non-result) variables assigned by the body."""
-        return {f.target for f in self.formulas if f.target not in RESULT_VARIABLES}
-
-    def formulas_for(self, variable: str) -> list[Formula]:
+    def formulas_for(self, variable: str) -> tuple[Formula, ...]:
         """All body formulas assigning ``variable``, in order."""
-        return [f for f in self.formulas if f.target == variable]
+        return self._by_target.get(variable, ())
 
     def specificity(self) -> tuple[int, int, int, int]:
         return self.head.specificity()

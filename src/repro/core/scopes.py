@@ -14,21 +14,34 @@ the order "given by the wrapper implementor".
 The paper notes that naive rule lookup "tends to slow down the cost
 estimate process ... That is why we do not use the standard overriding
 mechanism of Java, but implement our own efficient one based on kind of
-virtual tables."  :class:`RuleRepository` reproduces that: rules are
-pre-grouped per (source, operator name) into lists sorted by scope rank
-and specificity at registration time, so per-node matching only scans the
-rules that could possibly apply.  The linear-scan alternative is kept
-(``use_dispatch_index=False``) for the ablation benchmark.
+virtual tables."  :class:`RuleRepository` reproduces that: everything a
+lookup needs from a rule's place in the hierarchy — sort key, matching
+level, provenance label — is computed once when the rule is registered
+(:class:`ScopedRule`), and the hierarchy itself is resolved once per
+(source, operator name) into one tuple holding the wrapper's and the
+mediator's rules already merged, ordered and scope-filtered, so per-node
+matching is a dict probe.  The linear-scan alternative is kept
+(``use_dispatch_index=False``) as the reference the tests and the
+ablation benchmark compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
-from repro.algebra.logical import PlanNode
-from repro.core.rules import Bindings, CostRule, OperatorPattern
+from repro.algebra.expressions import AttributeRef, Comparison, Literal
+from repro.algebra.logical import PlanNode, Select
+from repro.core.rules import (
+    Bindings,
+    CostRule,
+    OperatorPattern,
+    SelectPredPattern,
+    Var,
+)
 from repro.errors import CostModelError
 
 
@@ -70,18 +83,40 @@ def classify_wrapper_rule(rule: CostRule) -> Scope:
 
 @dataclass(frozen=True)
 class ScopedRule:
-    """A rule placed in the hierarchy: who exported it and at which scope."""
+    """A rule placed in the hierarchy: who exported it, at which scope,
+    and where among its scope's rules it was declared.
+
+    Everything a lookup reads is fixed at registration (§4.1: rules are
+    integrated once), so it is computed here, once, not per lookup.
+    """
 
     rule: CostRule
     scope: Scope
     source: str
+    #: Declaration order within (source, scope) — "the order given by the
+    #: wrapper implementor".  Owned by the placement, not the rule: one
+    #: :class:`CostRule` may be registered with several repositories.
+    order: int = 0
+    #: Descending match priority: scope, then the specificity levels, then
+    #: declaration order (ascending).
+    sort_key: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: The paper's "matching level": scope plus pattern specificity.  Rules
+    #: at the same level are *all* associated with a node and their
+    #: formulas race to the lowest value (§4.2, Step 3).
+    level: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Provenance shown by explain(): ``"predicate[oo7]: select(...)"``.
+    label: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        """Descending match priority: scope, then the specificity levels,
-        then declaration order (ascending)."""
+    def __post_init__(self) -> None:
         spec = self.rule.specificity()
-        return (-int(self.scope), *(-level for level in spec), self.rule.order)
+        scope = int(self.scope)
+        set_ = object.__setattr__
+        set_(self, "sort_key", (-scope, *(-level for level in spec), self.order))
+        set_(self, "level", (scope, *spec))
+        set_(self, "label", f"{self.scope}[{self.source}]: {self.rule.name}")
+
+
+_SORT_KEY = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -101,13 +136,27 @@ class RuleMatch:
 
     @property
     def level(self) -> tuple[int, ...]:
-        """The paper's "matching level": scope plus pattern specificity.
+        return self.scoped.level
 
-        Rules at the same level are *all* associated with a node and their
-        formulas race to the lowest value (§4.2, Step 3).
-        """
-        spec = self.rule.specificity()
-        return (int(self.scope), *spec)
+
+def providing(matches: Iterable[RuleMatch], variable: str) -> list[RuleMatch]:
+    """From a node's matches (most specific first), those to use for one
+    variable: every match at the highest matching level that provides it
+    (§4.2 Steps 1 & 3 — the first providing level wins, same-level
+    matches race)."""
+    selected: list[RuleMatch] = []
+    best_level: tuple[int, ...] | None = None
+    for match in matches:
+        scoped = match.scoped
+        if variable not in scoped.rule.provides:
+            continue
+        if best_level is None:
+            best_level = scoped.level
+        elif scoped.level != best_level:
+            # Matches are sorted, so the first lower level ends it.
+            break
+        selected.append(match)
+    return selected
 
 
 class RuleRepository:
@@ -123,22 +172,29 @@ class RuleRepository:
     def __init__(self, use_dispatch_index: bool = True) -> None:
         self.use_dispatch_index = use_dispatch_index
         self._rules: list[ScopedRule] = []
-        # The "virtual table": (source, operator) -> sorted scoped rules.
+        # (source, operator) -> that source's rules, kept sorted on insert.
         self._index: dict[tuple[str, str], list[ScopedRule]] = {}
         # Fully pinned select rules (bound collection, attribute, op and
         # value) hash directly on their constants, so a thousand
         # query-specific rules cost one dict probe, not a scan — the
         # §3.3.2 "virtual tables" point.
         self._pinned: dict[tuple, list[ScopedRule]] = {}
+        # The "virtual table": (node source or None, operator) -> the rules
+        # a node may use, most specific first — the source's bucket and the
+        # mediator's merged, ordered and scope-filtered.  Built on first
+        # lookup; any change to the rule set starts a new, empty table.
+        self._table: dict[tuple[str | None, str], tuple[ScopedRule, ...]] = {}
         self._orders: dict[tuple[str, Scope], int] = {}
 
     # -- registration -----------------------------------------------------------
 
-    def _next_order(self, source: str, scope: Scope) -> int:
+    def _place(self, rule: CostRule, scope: Scope, source: str) -> ScopedRule:
         key = (source, scope)
         order = self._orders.get(key, 0)
         self._orders[key] = order + 1
-        return order
+        scoped = ScopedRule(rule, scope, source, order)
+        self._insert(scoped)
+        return scoped
 
     def _insert(self, scoped: ScopedRule) -> None:
         self._rules.append(scoped)
@@ -149,18 +205,22 @@ class RuleRepository:
             bucket = self._index.setdefault(
                 (scoped.source, scoped.rule.head.operator), []
             )
-        bucket.append(scoped)
-        bucket.sort(key=lambda s: s.sort_key)
+        insort(bucket, scoped, key=_SORT_KEY)
+        self._table = {}
 
     @staticmethod
     def _pinned_key_for_rule(scoped: ScopedRule) -> tuple | None:
-        """Hash key for a fully bound select rule, or None."""
+        """Hash key for a wrapper's fully bound select rule, or None.
+        (The mediator's own rules stay in its operator bucket: a node is
+        only ever probed under the source that owns it.)"""
         head = scoped.rule.head
-        if type(head) is not OperatorPattern or head.operator != "select":
+        if (
+            type(head) is not OperatorPattern
+            or head.operator != "select"
+            or scoped.source == MEDIATOR_SOURCE
+        ):
             return None
         pred = head.predicate
-        from repro.core.rules import SelectPredPattern, Var
-
         if not isinstance(pred, SelectPredPattern):
             return None
         collection = head.collections[0]
@@ -179,9 +239,6 @@ class RuleRepository:
     @staticmethod
     def _pinned_key_for_node(node: PlanNode, source: str) -> tuple | None:
         """The pinned-bucket key a select node would hash to, or None."""
-        from repro.algebra.expressions import AttributeRef, Comparison, Literal
-        from repro.algebra.logical import Select
-
         if not isinstance(node, Select):
             return None
         predicate = node.predicate
@@ -205,17 +262,11 @@ class RuleRepository:
 
     def add_default_rule(self, rule: CostRule) -> ScopedRule:
         """Install a generic-model rule (default-scope)."""
-        rule.order = self._next_order(MEDIATOR_SOURCE, Scope.DEFAULT)
-        scoped = ScopedRule(rule, Scope.DEFAULT, MEDIATOR_SOURCE)
-        self._insert(scoped)
-        return scoped
+        return self._place(rule, Scope.DEFAULT, MEDIATOR_SOURCE)
 
     def add_local_rule(self, rule: CostRule) -> ScopedRule:
         """Install a mediator local-scope rule (physical mediator operators)."""
-        rule.order = self._next_order(MEDIATOR_SOURCE, Scope.LOCAL)
-        scoped = ScopedRule(rule, Scope.LOCAL, MEDIATOR_SOURCE)
-        self._insert(scoped)
-        return scoped
+        return self._place(rule, Scope.LOCAL, MEDIATOR_SOURCE)
 
     def add_wrapper_rule(self, source: str, rule: CostRule) -> ScopedRule:
         """Install a wrapper-exported rule, deriving its scope from the head."""
@@ -223,11 +274,7 @@ class RuleRepository:
             raise CostModelError(
                 f"wrapper rules cannot use the reserved source {source!r}"
             )
-        scope = classify_wrapper_rule(rule)
-        rule.order = self._next_order(source, scope)
-        scoped = ScopedRule(rule, scope, source)
-        self._insert(scoped)
-        return scoped
+        return self._place(rule, classify_wrapper_rule(rule), source)
 
     def add_wrapper_rules(self, source: str, rules: Iterable[CostRule]) -> None:
         for rule in rules:
@@ -235,10 +282,7 @@ class RuleRepository:
 
     def add_query_rule(self, source: str, rule: CostRule) -> ScopedRule:
         """Install a query-scope rule (§4.3.1 historical costs)."""
-        rule.order = self._next_order(source, Scope.QUERY)
-        scoped = ScopedRule(rule, Scope.QUERY, source)
-        self._insert(scoped)
-        return scoped
+        return self._place(rule, Scope.QUERY, source)
 
     def remove_source(self, source: str) -> int:
         """Drop every rule of a source (wrapper re-registration).  Returns
@@ -251,43 +295,57 @@ class RuleRepository:
             del self._pinned[key]
         for key in [k for k in self._orders if k[0] == source]:
             del self._orders[key]
+        self._table = {}
         return before - len(self._rules)
 
     # -- lookup --------------------------------------------------------------------
 
+    @staticmethod
+    def _visible(scoped: ScopedRule, source: str | None) -> bool:
+        """Mediator-local nodes must not see a wrapper's rules; and a
+        wrapper node must not use LOCAL-scope rules (the mediator runs a
+        physical algebra locally, §4.1 footnote)."""
+        if source is None:
+            return scoped.scope in (Scope.LOCAL, Scope.DEFAULT)
+        return scoped.scope is not Scope.LOCAL
+
     def _candidate_rules(
         self, node: PlanNode, source: str | None
-    ) -> Iterator[ScopedRule]:
+    ) -> Iterable[ScopedRule]:
         """Scoped rules that could match ``node`` owned by ``source``
         (``None`` = a mediator-local node), most specific first."""
         operator = node.operator_name
-        if self.use_dispatch_index:
-            buckets: list[list[ScopedRule]] = []
-            if source is not None:
-                pinned_key = self._pinned_key_for_node(node, source)
-                if pinned_key is not None:
-                    buckets.append(self._pinned.get(pinned_key, []))
-                buckets.append(self._index.get((source, operator), []))
-            buckets.append(self._index.get((MEDIATOR_SOURCE, operator), []))
-            merged = [s for bucket in buckets for s in bucket]
-        else:
-            wanted_sources = {MEDIATOR_SOURCE}
-            if source is not None:
-                wanted_sources.add(source)
-            merged = [
-                s
-                for s in self._rules
-                if s.source in wanted_sources and s.rule.head.operator == operator
-            ]
-        # Mediator-local nodes must not see another wrapper's rules; and a
-        # wrapper node must not use LOCAL-scope rules (the mediator runs a
-        # physical algebra locally, §4.1 footnote).
-        for scoped in sorted(merged, key=lambda s: s.sort_key):
-            if source is None and scoped.scope not in (Scope.LOCAL, Scope.DEFAULT):
-                continue
-            if source is not None and scoped.scope is Scope.LOCAL:
-                continue
-            yield scoped
+        if not self.use_dispatch_index:
+            wanted_sources = (MEDIATOR_SOURCE, source)
+            return sorted(
+                (
+                    s
+                    for s in self._rules
+                    if s.source in wanted_sources
+                    and s.rule.head.operator == operator
+                    and self._visible(s, source)
+                ),
+                key=_SORT_KEY,
+            )
+        # Read the table before the buckets: a registration updates the
+        # buckets first and then starts a new table, so an entry built
+        # from buckets it has not finished with lands in the table it
+        # has already discarded.
+        table = self._table
+        rules = table.get((source, operator))
+        if rules is None:
+            merged = self._index.get((MEDIATOR_SOURCE, operator), [])
+            if source is not None and source != MEDIATOR_SOURCE:
+                merged = self._index.get((source, operator), []) + merged
+            rules = table[(source, operator)] = tuple(
+                s for s in sorted(merged, key=_SORT_KEY) if self._visible(s, source)
+            )
+        if source is not None and self._pinned:
+            pinned = self._pinned.get(self._pinned_key_for_node(node, source))
+            if pinned:
+                # Pinned rules are wrapper-owned, hence visible here.
+                return sorted(pinned + list(rules), key=_SORT_KEY)
+        return rules
 
     def matches(self, node: PlanNode, source: str | None) -> list[RuleMatch]:
         """All rules matching ``node``, most specific first."""
@@ -303,24 +361,7 @@ class RuleRepository:
     ) -> list[RuleMatch]:
         """The matches to use for one variable: every match at the highest
         matching level that provides the variable (§4.2 Steps 1 & 3)."""
-        best_level: tuple[int, int, int, int] | None = None
-        selected: list[RuleMatch] = []
-        for scoped in self._candidate_rules(node, source):
-            if variable not in scoped.rule.provides:
-                continue
-            bindings = scoped.rule.match(node)
-            if bindings is None:
-                continue
-            match = RuleMatch(scoped, bindings)
-            if best_level is None:
-                best_level = match.level
-                selected.append(match)
-            elif match.level == best_level:
-                selected.append(match)
-            else:
-                # Candidates are sorted, so the first lower level ends it.
-                break
-        return selected
+        return providing(self.matches(node, source), variable)
 
     # -- introspection ------------------------------------------------------------
 

@@ -198,9 +198,7 @@ class Mediator:
         wrappers; returns the aggregated logical statistics (or None)."""
         from repro.mediator.registration import register_partitioned_collection
 
-        return register_partitioned_collection(
-            scheme, self.catalog, self.estimator
-        )
+        return register_partitioned_collection(scheme, self.catalog)
 
     # -- calibration (§4.3 feedback loop) ---------------------------------------
 
@@ -209,20 +207,17 @@ class Mediator:
 
         ``updates`` is a ``{CoefficientKey: multiplier}`` dict or a list
         of :class:`~repro.mediator.calibration.CoefficientUpdate`.  The
-        catalog-version bump invalidates plan caches; the subplan cache
-        holds calibrated values, so it is flushed here too.
+        catalog-version bump invalidates plan caches; the estimator
+        keeps nothing between plans, so the next one is costed under the
+        new overlay.
         """
-        overlay = self.catalog.apply_calibration(
+        return self.catalog.apply_calibration(
             updates, note=note, observations=observations
         )
-        self.estimator.invalidate_cache()
-        return overlay
 
     def rollback_calibration(self, version: int):
         """Re-activate a prior overlay version (0 = seed behaviour)."""
-        overlay = self.catalog.rollback_calibration(version)
-        self.estimator.invalidate_cache()
-        return overlay
+        return self.catalog.rollback_calibration(version)
 
     # -- query phase (§2.2) ---------------------------------------------------------
 

@@ -20,7 +20,10 @@ The optimizer enumerates, System-R style over a :class:`QuerySpec`:
 Every candidate is costed by the blended estimator; with
 ``use_pruning=True`` the §4.3.2 branch-and-bound extension aborts the
 estimation of any candidate as soon as a partial cost exceeds the best
-complete plan so far.
+complete plan so far.  Candidates are built over shared subplan objects
+(the dynamic-programming table's ``best[...].plan``, the join plan under
+every decoration), so one ``optimize()`` call costs them through one
+estimator memo: each shared subplan is costed once per call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from repro.algebra.logical import (
     clone_plan,
 )
 from repro.algebra.logical import Union
-from repro.core.estimator import CostEstimator, PlanEstimate
+from repro.core.estimator import CostEstimator, NodeEstimate, PlanEstimate
 from repro.errors import QueryError
 from repro.mediator.catalog import MediatorCatalog, PartitionScheme
 from repro.mediator.queryspec import QuerySpec, UnionSpec
@@ -123,6 +126,17 @@ class _Candidate:
     cost: float = 0.0
 
 
+@dataclass
+class _Costing:
+    """One ``optimize()`` call's accounting: the work counters of the
+    (sub)query being enumerated, and the estimator memo every candidate of
+    the call shares.  The memo dies with the call, so it can neither go
+    stale nor grow."""
+
+    stats: OptimizerStats
+    memo: dict[int, NodeEstimate]
+
+
 class Optimizer:
     """Cost-based plan selection for one mediator."""
 
@@ -152,27 +166,34 @@ class Optimizer:
 
     def optimize(self, spec: QuerySpec | UnionSpec) -> OptimizationResult:
         """Choose the cheapest complete plan for a query."""
-        result = self._optimize_any(spec)
+        memo: dict[int, NodeEstimate] = {}
+        result = self._optimize_any(spec, memo)
         if not self.catalog.has_replicas():
             # No replica sets: the chosen plan and estimate pass through
             # untouched — the replica layer is entirely inert.
             return result
-        return self._bind_replicas(result)
+        return self._bind_replicas(result, memo)
 
-    def _optimize_any(self, spec: QuerySpec | UnionSpec) -> OptimizationResult:
+    def _optimize_any(
+        self, spec: QuerySpec | UnionSpec, memo: dict[int, NodeEstimate]
+    ) -> OptimizationResult:
         if isinstance(spec, UnionSpec):
-            return self._optimize_union(spec)
-        stats = OptimizerStats()
-        join_plan = self._best_join_plan(spec, stats)
-        candidates = self._decorated_candidates(spec, join_plan, stats)
+            return self._optimize_union(spec, memo)
+        costing = _Costing(OptimizerStats(), memo)
+        join_plan = self._best_join_plan(spec, costing)
+        candidates = self._decorated_candidates(spec, join_plan, costing)
         best = min(candidates, key=lambda c: c.cost)
-        return OptimizationResult(plan=best.plan, estimate=best.estimate, stats=stats)
+        return OptimizationResult(
+            plan=best.plan, estimate=best.estimate, stats=costing.stats
+        )
 
-    def _optimize_union(self, spec: UnionSpec) -> OptimizationResult:
+    def _optimize_union(
+        self, spec: UnionSpec, memo: dict[int, NodeEstimate]
+    ) -> OptimizationResult:
         """Optimize each branch independently, then combine (§2.2's union
         operator runs at the mediator)."""
         stats = OptimizerStats()
-        branch_results = [self._optimize_any(branch) for branch in spec.branches]
+        branch_results = [self._optimize_any(branch, memo) for branch in spec.branches]
         plan: PlanNode = branch_results[0].plan
         for result in branch_results[1:]:
             plan = Union(plan, result.plan)
@@ -183,7 +204,7 @@ class Optimizer:
             stats.candidates_pruned += result.stats.candidates_pruned
             stats.variables_computed += result.stats.variables_computed
             stats.formulas_evaluated += result.stats.formulas_evaluated
-        candidate = self._cost(plan, stats, None)
+        candidate = self._cost(plan, _Costing(stats, memo), None)
         assert candidate is not None
         return OptimizationResult(
             plan=candidate.plan, estimate=candidate.estimate, stats=stats
@@ -202,10 +223,10 @@ class Optimizer:
 
     def _price_replica(self, submit: Submit, member: str) -> float:
         """Estimated TotalTime of the submit's subtree served by one
-        replica member.  The subtree is cloned with fresh node ids: the
-        estimator's subplan cache keys on (node_id, variable) and cached
-        values depend on the owning source, so re-pricing a shared
-        subtree under a different wrapper would poison the cache."""
+        replica member.  The subtree is cloned with fresh node ids: an
+        estimator memo keys on node id and its values depend on the
+        owning source, so a node must never be priced under two
+        wrappers."""
         clone = Submit(
             clone_plan(submit.child),
             member,
@@ -229,7 +250,9 @@ class Optimizer:
         priced.sort()
         return [member for _, _, member in priced]
 
-    def _bind_replicas(self, result: OptimizationResult) -> OptimizationResult:
+    def _bind_replicas(
+        self, result: OptimizationResult, memo: dict[int, NodeEstimate]
+    ) -> OptimizationResult:
         """Re-target each Submit of a replicated source at the cheapest
         healthy member, tagging the choice in the estimate's provenance.
 
@@ -275,7 +298,7 @@ class Optimizer:
             variables: tuple[str, ...] = ("TotalTime", "CountObject", "TotalSize")
             if self.options.objective == "time_first":
                 variables = ("TimeFirst",) + variables
-            estimate = self.estimator.estimate(plan, variables=variables)
+            estimate = self.estimator.estimate(plan, variables=variables, memo=memo)
         self._tag_replica_provenance(plan, estimate)
         if not rebound:
             return result
@@ -304,7 +327,7 @@ class Optimizer:
         self, node: PlanNode, rebound: dict[int, Submit]
     ) -> PlanNode:
         """Rebuild the plan spine over rebound submits, sharing every
-        untouched subtree (their node ids keep their cached estimates)."""
+        untouched subtree (their node ids keep their memoised estimates)."""
         if isinstance(node, Submit):
             return rebound.get(node.node_id, node)
         if isinstance(node, Select):
@@ -368,28 +391,28 @@ class Optimizer:
     # -- costing helper ----------------------------------------------------------
 
     def _cost(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, costing: _Costing, bound: float | None
     ) -> _Candidate | None:
         """Estimate one candidate; None when pruned by the §4.3.2 bound."""
         hotpath = self.hotpath
         if hotpath.enabled:
             with hotpath.phase("candidate"):
-                return self._cost_traced(plan, stats, bound)
-        return self._cost_traced(plan, stats, bound)
+                return self._cost_traced(plan, costing, bound)
+        return self._cost_traced(plan, costing, bound)
 
     def _cost_traced(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, costing: _Costing, bound: float | None
     ) -> _Candidate | None:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._cost_inner(plan, stats, bound)
+            return self._cost_inner(plan, costing, bound)
         with tracer.span(
             f"candidate:{plan.operator_name}",
             kind="candidate",
             plan=plan.describe(),
             bound_ms=bound,
         ) as span:
-            candidate = self._cost_inner(plan, stats, bound)
+            candidate = self._cost_inner(plan, costing, bound)
             span.set(
                 pruned=candidate is None,
                 cost_ms=candidate.cost if candidate is not None else None,
@@ -397,8 +420,9 @@ class Optimizer:
         return candidate
 
     def _cost_inner(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, costing: _Costing, bound: float | None
     ) -> _Candidate | None:
+        stats = costing.stats
         stats.candidates_considered += 1
         first_tuple = self.options.objective == "time_first"
         bound_ms = bound if self.options.use_pruning and not first_tuple else None
@@ -406,7 +430,7 @@ class Optimizer:
         if first_tuple:
             variables = ("TimeFirst",) + variables
         estimate = self.estimator.estimate(
-            plan, bound_ms=bound_ms, variables=variables
+            plan, bound_ms=bound_ms, variables=variables, memo=costing.memo
         )
         stats.variables_computed += self.estimator.last_counters.variables_computed
         stats.formulas_evaluated += self.estimator.last_counters.formulas_evaluated
@@ -571,25 +595,25 @@ class Optimizer:
 
     # -- join enumeration --------------------------------------------------------------
 
-    def _best_join_plan(self, spec: QuerySpec, stats: OptimizerStats) -> _Candidate:
+    def _best_join_plan(self, spec: QuerySpec, costing: _Costing) -> _Candidate:
         collections = spec.collections
         if len(collections) == 1:
             plan = self._access_plan(spec, collections[0])
-            candidate = self._cost(plan, stats, None)
+            candidate = self._cost(plan, costing, None)
             assert candidate is not None
             return candidate
         if len(collections) <= self.options.max_exhaustive_collections:
-            return self._dynamic_programming(spec, stats)
-        return self._greedy_chain(spec, stats)
+            return self._dynamic_programming(spec, costing)
+        return self._greedy_chain(spec, costing)
 
     def _dynamic_programming(
-        self, spec: QuerySpec, stats: OptimizerStats
+        self, spec: QuerySpec, costing: _Costing
     ) -> _Candidate:
         collections = spec.collections
         best: dict[frozenset[str], _Candidate] = {}
         for collection in collections:
             plan = self._access_plan(spec, collection)
-            candidate = self._cost(plan, stats, None)
+            candidate = self._cost(plan, costing, None)
             assert candidate is not None
             best[frozenset([collection])] = candidate
 
@@ -599,7 +623,7 @@ class Optimizer:
                 current: _Candidate | None = None
                 # Pushed-down whole-subset subquery at a single wrapper.
                 if self.options.push_joins_to_wrappers:
-                    current = self._pushed_candidate(spec, list(subset), stats, current)
+                    current = self._pushed_candidate(spec, list(subset), costing, current)
                 # Mediator joins over every split with a connecting predicate.
                 for left_size in range(1, size):
                     for left_subset in itertools.combinations(subset, left_size):
@@ -618,7 +642,7 @@ class Optimizer:
                         for extra in connecting[1:]:
                             plan = Select(plan, extra)
                         bound = current.cost if current is not None else None
-                        candidate = self._cost(plan, stats, bound)
+                        candidate = self._cost(plan, costing, bound)
                         if candidate is not None and (
                             current is None or candidate.cost < current.cost
                         ):
@@ -628,7 +652,7 @@ class Optimizer:
                         )
                         if bind_plan is not None:
                             bound = current.cost if current is not None else None
-                            candidate = self._cost(bind_plan, stats, bound)
+                            candidate = self._cost(bind_plan, costing, bound)
                             if candidate is not None and (
                                 current is None or candidate.cost < current.cost
                             ):
@@ -639,14 +663,14 @@ class Optimizer:
         full = frozenset(collections)
         if full not in best:
             # Disconnected join graph: fall back to cartesian chaining.
-            return self._cartesian_fallback(spec, best, stats)
+            return self._cartesian_fallback(spec, best, costing)
         return best[full]
 
     def _pushed_candidate(
         self,
         spec: QuerySpec,
         subset: list[str],
-        stats: OptimizerStats,
+        costing: _Costing,
         current: _Candidate | None,
     ) -> _Candidate | None:
         wrappers = {self._single_wrapper_for(c) for c in subset}
@@ -659,7 +683,7 @@ class Optimizer:
         if inner is None:
             return current
         bound = current.cost if current is not None else None
-        candidate = self._cost(Submit(inner, wrapper.name), stats, bound)
+        candidate = self._cost(Submit(inner, wrapper.name), costing, bound)
         if candidate is not None and (
             current is None or candidate.cost < current.cost
         ):
@@ -711,12 +735,12 @@ class Optimizer:
             plan = Select(plan, extra)
         return plan
 
-    def _greedy_chain(self, spec: QuerySpec, stats: OptimizerStats) -> _Candidate:
+    def _greedy_chain(self, spec: QuerySpec, costing: _Costing) -> _Candidate:
         """Greedy join ordering for very wide queries: start from the
         cheapest access plan, repeatedly join the cheapest connected
         extension."""
         pending = {
-            collection: self._cost(self._access_plan(spec, collection), stats, None)
+            collection: self._cost(self._access_plan(spec, collection), costing, None)
             for collection in spec.collections
         }
         placed_name, current = min(
@@ -736,7 +760,7 @@ class Optimizer:
                 for extra in connecting[1:]:
                     plan = Select(plan, extra)
                 bound = extension[1].cost if extension is not None else None
-                candidate = self._cost(plan, stats, bound)
+                candidate = self._cost(plan, costing, bound)
                 if candidate is not None and (
                     extension is None or candidate.cost < extension[1].cost
                 ):
@@ -756,7 +780,7 @@ class Optimizer:
         self,
         spec: QuerySpec,
         best: dict[frozenset[str], _Candidate],
-        stats: OptimizerStats,
+        costing: _Costing,
     ) -> _Candidate:
         raise QueryError(
             "the join graph is disconnected; add join predicates "
@@ -766,13 +790,13 @@ class Optimizer:
     # -- decorations -------------------------------------------------------------------
 
     def _decorated_candidates(
-        self, spec: QuerySpec, join_candidate: _Candidate, stats: OptimizerStats
+        self, spec: QuerySpec, join_candidate: _Candidate, costing: _Costing
     ) -> list[_Candidate]:
         """Apply grouping/distinct/sort/projection; for single-collection
         queries also try pushing the whole pipeline into the wrapper."""
         candidates: list[_Candidate] = []
         mediator_plan = self._decorate(spec, join_candidate.plan)
-        candidate = self._cost(mediator_plan, stats, None)
+        candidate = self._cost(mediator_plan, costing, None)
         assert candidate is not None
         candidates.append(candidate)
 
@@ -797,7 +821,7 @@ class Optimizer:
                 if filters:
                     inner = Select(inner, conjunction(list(filters)))
                 pushed = Submit(self._decorate(spec, inner), wrapper.name)
-                candidate = self._cost(pushed, stats, candidates[0].cost)
+                candidate = self._cost(pushed, costing, candidates[0].cost)
                 if candidate is not None:
                     candidates.append(candidate)
         return candidates

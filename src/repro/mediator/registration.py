@@ -72,7 +72,6 @@ def register_wrapper(
         catalog.add_collection(collection, wrapper.name, attributes, stats)
 
     repository.add_wrapper_rules(wrapper.name, compiled.rules)
-    estimator.invalidate_cache()
     estimator.register_environment(
         SourceEnvironment(
             name=wrapper.name,
@@ -130,7 +129,6 @@ def register_replica(
     catalog.add_wrapper(wrapper)
     catalog.add_replica(of, wrapper.name)
     repository.add_wrapper_rules(wrapper.name, compiled.rules)
-    estimator.invalidate_cache()
     estimator.register_environment(
         SourceEnvironment(
             name=wrapper.name,
@@ -144,7 +142,6 @@ def register_replica(
 def register_partitioned_collection(
     scheme: PartitionScheme,
     catalog: MediatorCatalog,
-    estimator: CostEstimator | None = None,
 ) -> CollectionStats | None:
     """Register a partition scheme plus aggregated logical statistics.
 
@@ -180,8 +177,6 @@ def register_partitioned_collection(
     if len(shard_stats) == len(scheme.shards):
         aggregated = _aggregate_shard_stats(scheme, shard_stats)
     catalog.add_partition(scheme, tuple(attributes), aggregated)
-    if estimator is not None:
-        estimator.invalidate_cache()
     return aggregated
 
 

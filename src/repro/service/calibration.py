@@ -10,8 +10,8 @@ installs a new overlay through :meth:`Mediator.apply_calibration`.
 
 The catalog-version bump that apply performs is the whole invalidation
 story: the PR 4 plan cache is version-guarded, so stale plans evict on
-their next lookup, and the estimator's subplan cache is flushed by the
-mediator.  Nothing here needs to reach into the cache.
+their next lookup, and the estimator keeps nothing between plans.
+Nothing here needs to reach into a cache.
 
 The fit window **resets after every fit attempt** (applied or not): the
 cadence defines the measurement window, so a misbehaving source shows

@@ -96,6 +96,11 @@ class TestOverheadModule:
         assert len(result.pruning_rows) == 2
         assert len(result.propagation_rows) == 2
         assert len(result.conflict_rows) == 2
+        # E4e: one optimize() shares subplans across its candidates; the
+        # same candidates costed one estimate() at a time pay at least
+        # twice the formulas.
+        sharing = dict(result.cache_rows)
+        assert 0 < sharing["on"] * 2 < sharing["off"]
 
 
 class TestHistoryModule:

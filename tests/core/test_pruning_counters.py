@@ -1,14 +1,14 @@
 """Regression: §4.3.2 pruning leaves the same counter trail with and
-without the subplan cache.
+without a shared estimator memo.
 
-The seed raised :class:`PlanPruned` on the cache-hit path *before*
-incrementing ``variables_computed``, so a warm cache reported one fewer
+The seed raised :class:`PlanPruned` on the memo-hit path *before*
+incrementing ``variables_computed``, so a warm memo reported one fewer
 variable than the identical cold run — OptimizerStats undercounted
-pruned work exactly when the cache made pruning cheap.
+pruned work exactly when sharing made pruning cheap.
 """
 
 from repro.algebra.builders import scan
-from repro.core.estimator import CostEstimator, EstimatorOptions
+from repro.core.estimator import CostEstimator
 from repro.core.generic import CoefficientSet, standard_repository
 from repro.core.statistics import (
     AttributeStats,
@@ -17,7 +17,7 @@ from repro.core.statistics import (
 )
 
 
-def make_estimator(cache: bool) -> CostEstimator:
+def make_estimator() -> CostEstimator:
     catalog = StatisticsCatalog()
     catalog.put(
         CollectionStats.from_extent(
@@ -28,10 +28,7 @@ def make_estimator(cache: bool) -> CostEstimator:
         )
     )
     return CostEstimator(
-        standard_repository(),
-        catalog,
-        options=EstimatorOptions(cache_subplans=cache),
-        coefficients=CoefficientSet(),
+        standard_repository(), catalog, coefficients=CoefficientSet()
     )
 
 
@@ -41,35 +38,37 @@ def make_plan():
 
 class TestPrunedCounters:
     def test_cold_cache_agrees_with_uncached(self):
-        # An empty cache computes exactly what the uncached path does.
-        cached = make_estimator(cache=True)
-        uncached = make_estimator(cache=False)
-        pruned_cached = cached.estimate(make_plan(), bound_ms=1.0)
-        pruned_uncached = uncached.estimate(make_plan(), bound_ms=1.0)
-        assert pruned_cached.pruned and pruned_uncached.pruned
-        assert cached.last_counters.variables_computed > 0
+        # An empty memo computes exactly what no memo does.
+        shared = make_estimator()
+        alone = make_estimator()
+        pruned_shared = shared.estimate(make_plan(), bound_ms=1.0, memo={})
+        pruned_alone = alone.estimate(make_plan(), bound_ms=1.0)
+        assert pruned_shared.pruned and pruned_alone.pruned
+        assert shared.last_counters.variables_computed > 0
         assert (
-            cached.last_counters.variables_computed
-            == uncached.last_counters.variables_computed
+            shared.last_counters.variables_computed
+            == alone.last_counters.variables_computed
         )
 
     def test_warm_cache_hit_counts_the_tripping_variable(self):
-        estimator = make_estimator(cache=True)
+        estimator = make_estimator()
         plan = make_plan()
-        estimator.estimate(plan)  # warm the cache
-        pruned = estimator.estimate(plan, bound_ms=1.0)
+        memo = {}
+        estimator.estimate(plan, memo=memo)  # warm the memo
+        pruned = estimator.estimate(plan, bound_ms=1.0, memo=memo)
         assert pruned.pruned
-        # The cached TotalTime that tripped the bound is one computed
+        # The memoised TotalTime that tripped the bound is one computed
         # variable — the seed reported zero here.
         assert estimator.last_counters.variables_computed == 1
+        assert estimator.last_counters.formulas_evaluated == 0
 
     def test_unpruned_estimates_agree_too(self):
-        cached = make_estimator(cache=True)
-        uncached = make_estimator(cache=False)
-        first = cached.estimate(make_plan())
-        second = uncached.estimate(make_plan())
+        shared = make_estimator()
+        alone = make_estimator()
+        first = shared.estimate(make_plan(), memo={})
+        second = alone.estimate(make_plan())
         assert first.total_time == second.total_time
         assert (
-            cached.last_counters.variables_computed
-            == uncached.last_counters.variables_computed
+            shared.last_counters.variables_computed
+            == alone.last_counters.variables_computed
         )

@@ -177,9 +177,14 @@ class TestRepository:
         repo = RuleRepository()
         first = rule(select_pattern(var("C")), ["TotalTime = 1"], name="first")
         second = rule(select_pattern(var("C")), ["TotalTime = 2"], name="second")
-        repo.add_wrapper_rule("w", first)
-        repo.add_wrapper_rule("w", second)
-        assert first.order < second.order
+        placed_first = repo.add_wrapper_rule("w", first)
+        placed_second = repo.add_wrapper_rule("w", second)
+        assert placed_first.order < placed_second.order
+        # The order belongs to the placement: the rules, which another
+        # repository may hold too, are left as they came.
+        assert first.order == second.order == 0
+        other = RuleRepository()
+        assert other.add_wrapper_rule("w", second).order == 0
 
     def test_scan_rule_matching_level(self):
         repo = RuleRepository()
