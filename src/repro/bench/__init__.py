@@ -4,8 +4,7 @@
 * :mod:`repro.bench.plan_quality` — E2, plan quality per cost model;
 * :mod:`repro.bench.accuracy` — E3, estimation accuracy per cost model;
 * :mod:`repro.bench.overhead` — E4, rule-machinery overhead + ablations;
-* :mod:`repro.bench.history_bench` — E5, §4.3.1 historical costs;
-* :mod:`repro.bench.serving` — E11, the multi-tenant serving layer.
+* :mod:`repro.bench.history_bench` — E5, §4.3.1 historical costs.
 
 Each module is runnable (``python -m repro.bench.fig12``) and backs a
 pytest-benchmark target under ``benchmarks/``.
@@ -26,7 +25,6 @@ from repro.bench.harness import ErrorSummary, format_table
 from repro.bench.history_bench import HistoryResult, run_history
 from repro.bench.overhead import OverheadResult, run_overhead
 from repro.bench.plan_quality import PlanQualityReport, run_plan_quality
-from repro.bench.serving import ServingExperiment, run_serving_experiment
 
 __all__ = [
     "AccuracyReport",
@@ -40,8 +38,6 @@ __all__ = [
     "MODELS",
     "OverheadResult",
     "PlanQualityReport",
-    "ServingExperiment",
-    "run_serving_experiment",
     "WORKLOAD",
     "build_engines",
     "build_mediator",

@@ -24,9 +24,10 @@ this against captured seed transcripts).  :class:`~repro.rt.backend.
 RealTimeBackend` (``repro.rt``) replaces simulated charging with wall
 clocks, thread pools and genuine sleeps — see ``docs/backends.md``.
 
-The charge strategies (:class:`SequentialCharges` / :class:`WaveCharges`
-and their real-time counterparts) stay with their backend: they are the
-per-dispatch cost-landing policy of that backend's clock discipline.
+The charge strategies (:class:`SequentialCharges` / :class:`WaveCharges`)
+say where one submit's costs land — on the clock at once, or in a wave
+branch's duration.  They are the same on every backend except for how
+an idle wait passes, which is the backend's own primitive.
 """
 
 from __future__ import annotations
@@ -79,46 +80,53 @@ class MeasuredAttempt:
     def ok(self) -> bool:
         return self.result is not None
 
-    def reraise(self) -> "ExecutionResult":
-        """The result, or the original wrapper exception re-raised —
-        the non-resilient dispatch contract (faults propagate)."""
-        if self.fault is not None:
-            raise self.fault
-        assert self.result is not None
-        return self.result
-
 
 class SequentialCharges:
-    """Charge strategy of sequential dispatch on the sim backend: every
-    cost lands on the mediator clock immediately."""
+    """Charge strategy of sequential dispatch: every cost lands on the
+    backend's clock immediately.  Stateless, so one serves a scheduler
+    for life."""
 
-    __slots__ = ("clock",)
+    __slots__ = ("clock", "idle_wait")
 
-    def __init__(self, clock: SimClock) -> None:
+    def __init__(self, clock: SimClock, idle_wait: Callable[[float], None]) -> None:
         self.clock = clock
+        #: Backoff sleeps and cancelled waits: the backend's ``sleep``
+        #: (sim: ``charge_wait``, so the clock's ``wait_ms`` counter
+        #: separates them from device time; real: slept).
+        self.idle_wait = idle_wait
 
     def message(self, payload_bytes: int = 0) -> None:
         self.clock.charge_message(payload_bytes=payload_bytes)
 
     def wrapper_wait(self, ms: float) -> None:
-        self.clock.advance(ms)
+        self.clock.advance(ms)  # a no-op on a wall clock: it already passed
 
-    def idle_wait(self, ms: float) -> None:
-        # Backoff sleeps and cancelled waits go through charge_wait so
-        # the clock's wait_ms counter separates them from device time.
-        self.clock.charge_wait(ms)
+    def finish(self, response_bytes: int | None) -> None:
+        """The submit is over; a subanswer ships its response message."""
+        if response_bytes is not None:
+            self.clock.charge_message(payload_bytes=response_bytes)
 
 
 class WaveCharges:
-    """Charge strategy inside a sim wave: messages stay serialized,
+    """Charge strategy of one wave branch: messages stay serialized,
     waits (wrapper time, backoff, cancelled remainders) accumulate into
-    the branch duration committed as part of the wave makespan."""
+    the branch duration the wave's makespan is committed from."""
 
-    __slots__ = ("parallel", "branch_ms")
+    __slots__ = ("parallel", "sleep", "branch_ms", "response_bytes")
 
-    def __init__(self, parallel: ParallelClock) -> None:
+    def __init__(
+        self,
+        parallel: ParallelClock,
+        sleep: Callable[[float], None] | None = None,
+    ) -> None:
         self.parallel = parallel
+        #: How an idle wait passes on the branch's own timeline; ``None``
+        #: when that timeline is modelled (the commit advances the clock).
+        self.sleep = sleep
         self.branch_ms = 0.0
+        #: Size of the subanswer the branch produced; the wave ships the
+        #: response messages after its commit.  ``None``: nothing to ship.
+        self.response_bytes: int | None = None
 
     def message(self, payload_bytes: int = 0) -> None:
         self.parallel.charge_message(payload_bytes=payload_bytes)
@@ -128,6 +136,12 @@ class WaveCharges:
 
     def idle_wait(self, ms: float) -> None:
         self.branch_ms += ms
+        if self.sleep is not None:
+            self.sleep(ms)
+
+    def finish(self, response_bytes: int | None) -> None:
+        self.parallel.charge_branch(self.branch_ms)
+        self.response_bytes = response_bytes
 
 
 class ExecutionBackend(ABC):
@@ -155,13 +169,15 @@ class ExecutionBackend(ABC):
         ``charge_branch`` / ``charge_message`` / ``commit_wave`` /
         ``stats``)."""
 
-    @abstractmethod
-    def sequential_charges(self) -> Any:
-        """The charge strategy of one sequential dispatch."""
+    def sequential_charges(self) -> SequentialCharges:
+        """The charge strategy of sequential dispatches."""
+        return SequentialCharges(self.clock, self.sleep)
 
-    @abstractmethod
-    def wave_charges(self, parallel: ParallelClock) -> Any:
-        """The charge strategy of one wave branch."""
+    def wave_charges(self, parallel: ParallelClock) -> WaveCharges:
+        """The charge strategy of one wave branch.  Waits inside a
+        modelled wave are only accounted; a backend whose branches run
+        on real threads overrides this to make them pass."""
+        return WaveCharges(parallel)
 
     @abstractmethod
     def measured_execute(
@@ -198,17 +214,11 @@ class SimBackend(ExecutionBackend):
     name = "sim"
     real_time = False
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock if clock is not None else SimClock(MEDIATOR_PROFILE)
+    def __init__(self) -> None:
+        self.clock = SimClock(MEDIATOR_PROFILE)
 
     def attach_waves(self, max_concurrency: int | None) -> ParallelClock:
         return ParallelClock(self.clock, max_concurrency)
-
-    def sequential_charges(self) -> SequentialCharges:
-        return SequentialCharges(self.clock)
-
-    def wave_charges(self, parallel: ParallelClock) -> WaveCharges:
-        return WaveCharges(parallel)
 
     def measured_execute(
         self,

@@ -41,25 +41,17 @@ from repro.errors import PlanError, SubmitFailedError
 from repro.mediator.backend import (
     MEDIATOR_PROFILE as MEDIATOR_PROFILE,  # historic home; re-exported
     ExecutionBackend,
-    SimBackend,
 )
 from repro.mediator.cache import SubanswerCache
 from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.resilience import (
     PARTIAL,
-    PartialAnswer,
     ResilienceOptions,
-    ResilienceStats,
     SubmitFailure,
     build_partial_answer,
 )
-from repro.mediator.scheduler import (
-    DispatchOutcome,
-    SubmitScheduler,
-    estimate_payload_bytes,
-)
+from repro.mediator.scheduler import DispatchOutcome, SubmitScheduler
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.sources.clock import SimClock
 from repro.sources.pages import Row
 from repro.wrappers.base import ExecutionResult
 from repro.wrappers.interpreter import _aggregate_value, _merge_rows
@@ -85,14 +77,14 @@ class ExecutorOptions:
     #: Entry bound of the subanswer cache (FIFO eviction).
     cache_max_entries: int = 1024
     #: Fault-tolerance policies (retry/backoff/deadline, circuit
-    #: breakers, strict-vs-partial failure mode).  ``None`` disables the
-    #: layer entirely — dispatch follows the seed code path.
+    #: breakers, strict-vs-partial failure mode).  ``None`` installs
+    #: none: a submit gets one attempt and a wrapper fault is re-raised
+    #: unchanged.
     resilience: ResilienceOptions | None = None
     #: Execution backend the engine runs on.  ``None`` builds the
     #: default simulated stack (:class:`~repro.mediator.backend.
     #: SimBackend`); pass a :class:`~repro.rt.backend.RealTimeBackend`
     #: for wall-clock thread-pool dispatch against real sources.
-    #: Overrides any explicit ``clock`` handed to the executor.
     backend: ExecutionBackend | None = None
 
 
@@ -102,31 +94,28 @@ class MediatorExecutor:
     def __init__(
         self,
         catalog: MediatorCatalog,
-        clock: SimClock | None = None,
         options: ExecutorOptions | None = None,
         cache: SubanswerCache | None = None,
         backend: ExecutionBackend | None = None,
+        scheduler: SubmitScheduler | None = None,
     ) -> None:
         self.catalog = catalog
         self.options = options if options is not None else ExecutorOptions()
-        if backend is None:
-            backend = self.options.backend
-        if backend is None:
-            # The seed stack: a simulated clock (the given one, or a
-            # fresh mediator-profile clock) charged explicitly.
-            backend = SimBackend(clock)
-        self.backend = backend
-        self.clock = backend.clock
         if cache is None and self.options.cache_subanswers:
             cache = SubanswerCache(max_entries=self.options.cache_max_entries)
         self.cache = cache
-        self.scheduler = SubmitScheduler(
-            catalog,
-            max_concurrency=self.options.max_concurrency,
-            cache=self.cache,
-            resilience=self.options.resilience,
-            backend=backend,
-        )
+        if scheduler is None:
+            scheduler = SubmitScheduler(
+                catalog,
+                max_concurrency=self.options.max_concurrency,
+                cache=self.cache,
+                resilience=self.options.resilience,
+                backend=backend if backend is not None else self.options.backend,
+            )
+        #: The dispatcher: built here, or handed in (duck-typed) by a
+        #: caller that shares one across executors — the serving layer.
+        self.scheduler = scheduler
+        self.clock = scheduler.clock
         self._submit_log: list[tuple[Submit, ExecutionResult]] = []
         self._prefetched: dict[int, DispatchOutcome] = {}
         #: Submit failures of the current execution (partial mode only).
@@ -145,11 +134,6 @@ class MediatorExecutor:
     def parallel_stats(self):
         """Cumulative wave accounting of the concurrent dispatcher."""
         return self.scheduler.parallel.stats
-
-    @property
-    def _partial_mode(self) -> bool:
-        resilience = self.options.resilience
-        return resilience is not None and resilience.mode == PARTIAL
 
     def execute(self, plan: PlanNode) -> ExecutionResult:
         """Execute a plan; returns rows plus mediator-measured times."""
@@ -315,11 +299,22 @@ class MediatorExecutor:
         else:
             raise PlanError(f"mediator cannot execute {node.operator_name!r}")
 
-    def _register_failure(self, failure: SubmitFailure) -> None:
-        """Strict mode raises; partial mode records the failure so the
-        answer completes with the surviving subtrees and a structured
-        :class:`~repro.mediator.resilience.PartialAnswer` report."""
-        if not self._partial_mode:
+    def _register_failure(self, outcome: DispatchOutcome, **probe: Any) -> None:
+        """The consumer's half of the fault contract: with no resilience
+        options the wrapper's own exception is re-raised unchanged;
+        strict mode raises; partial mode records the failure (``probe``
+        fields rewritten) so the answer completes with the surviving
+        subtrees and a structured :class:`~repro.mediator.resilience.
+        PartialAnswer` report."""
+        resilience = self.options.resilience
+        if resilience is None:
+            assert outcome.fault is not None
+            raise outcome.fault
+        failure = outcome.failure
+        assert failure is not None
+        if probe:
+            failure = replace(failure, **probe)
+        if resilience.mode != PARTIAL:
             raise SubmitFailedError(failure)
         self._failures.append(failure)
 
@@ -328,8 +323,7 @@ class MediatorExecutor:
         if outcome is None:
             outcome = self.scheduler.dispatch_one(node)
         if outcome.failed:
-            assert outcome.failure is not None
-            self._register_failure(outcome.failure)
+            self._register_failure(outcome)
             # Partial mode: the missing subtree contributes zero rows —
             # union branches above drop out, joins above prune to empty.
             return
@@ -373,17 +367,11 @@ class MediatorExecutor:
             outcomes = self.scheduler.dispatch_wave(list(node.branches))
         for outcome in outcomes:
             if outcome.failed:
-                assert outcome.failure is not None
-                self._register_failure(outcome.failure)
+                self._register_failure(outcome)
                 continue
             if not outcome.cached:
                 self._submit_log.append((outcome.submit, outcome.result))
             yield from outcome.result.rows
-
-    def _payload_bytes(self, subplan: PlanNode, row_count: int) -> int:
-        """Approximate result-transfer size; projected subplans ship only
-        the projected share of each object (see scheduler module)."""
-        return estimate_payload_bytes(self.catalog.statistics, subplan, row_count)
 
     def _run_aggregate(self, node: Aggregate) -> Iterator[Row]:
         groups: dict[tuple, list[Row]] = {}
@@ -444,18 +432,15 @@ class MediatorExecutor:
         inner_by_key: dict[Any, list[Row]] = {}
         for outcome in outcomes:
             if outcome.failed:
-                assert outcome.failure is not None
                 # Probe submits are synthesized at run time, so their
                 # node ids are not in the plan; report the failure under
                 # the BindJoin's identity (a failed probe prunes the
                 # dependent join for that key batch).
                 self._register_failure(
-                    replace(
-                        outcome.failure,
-                        node_id=node.node_id,
-                        collection=node.inner_collection,
-                        bindjoin_probe=True,
-                    )
+                    outcome,
+                    node_id=node.node_id,
+                    collection=node.inner_collection,
+                    bindjoin_probe=True,
                 )
                 continue
             if not outcome.cached:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.algebra.logical import (
@@ -152,24 +152,31 @@ class CircuitBreaker:
         self._probe_in_flight = False
         self._lock = threading.Lock()
 
+    def _blocked(self, now_ms: float) -> bool:
+        if self.state == OPEN:
+            assert self.opened_at_ms is not None
+            return now_ms - self.opened_at_ms < self.policy.cooldown_ms
+        # Only one probe tests the source: siblings dispatched while it
+        # is out (e.g. the rest of a wave) fast-fail.
+        return self.state == HALF_OPEN and self._probe_in_flight
+
+    def blocked(self, now_ms: float) -> bool:
+        """Would :meth:`allow` refuse a request right now?  Read-only:
+        claims no probe (replica selection asks before it dispatches)."""
+        with self._lock:
+            return self._blocked(now_ms)
+
     def allow(self, now_ms: float) -> bool:
         """May a request flow at simulated time ``now_ms``?"""
         with self._lock:
-            if self.state == OPEN:
-                assert self.opened_at_ms is not None
-                if now_ms - self.opened_at_ms >= self.policy.cooldown_ms:
-                    self.state = HALF_OPEN
-                    self._probe_in_flight = True
-                    return True
+            if self._blocked(now_ms):
                 return False
-            if self.state == HALF_OPEN:
-                # Only one probe tests the source: siblings dispatched while
-                # it is out (e.g. the rest of a wave) fast-fail.
-                if self._probe_in_flight:
-                    return False
+            if self.state != CLOSED:
+                # Cooled-down open, or half-open with no probe out:
+                # this request is the single half-open probe.
+                self.state = HALF_OPEN
                 self._probe_in_flight = True
-                return True
-            return True  # closed
+            return True
 
     def record_success(self) -> None:
         with self._lock:
@@ -266,10 +273,10 @@ PARTIAL = "partial"
 class ResilienceOptions:
     """The executor-level fault-tolerance bundle.
 
-    ``None`` (the executor default) disables the whole layer: dispatch
-    follows the seed code path bit for bit.  With options present but no
-    faults occurring, clock totals and submit logs are still identical to
-    the seed path — the policies only act on failures.
+    The options decide which policies the scheduler installs into its
+    one per-submit sequence; ``None`` (the executor default) installs
+    none.  The policies only act on failures: with options present but
+    no faults occurring, clock totals and submit logs do not change.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -449,14 +456,62 @@ def build_partial_answer(
     )
 
 
-@dataclass
-class ResilienceStats:
-    """Lifetime fault-handling counters of one scheduler, per wrapper.
+class _WrapperCounters:
+    """Snapshot/delta protocol shared by the per-wrapper stats dataclasses.
 
-    The executor snapshots before/after each execution (like the cache
-    counters) and attaches the delta to ``ExecutionResult.resilience``;
-    the telemetry layer turns the delta into Prometheus counters.
+    ``dict`` fields count events per wrapper, ``float`` fields accumulate
+    milliseconds.  The executor snapshots before/after each execution
+    (like the cache counters) and attaches the delta to the result; the
+    telemetry layer turns the delta into Prometheus counters.  Updates
+    go through :meth:`_inc` / :meth:`_add_ms`, which are lock-guarded:
+    on the real-time backend they arrive from concurrent pool threads.
     """
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def _inc(self, counter: dict[str, int], wrapper: str, amount: int = 1) -> None:
+        with self._lock:
+            counter[wrapper] = counter.get(wrapper, 0) + amount
+
+    def _add_ms(self, name: str, ms: float) -> None:
+        with self._lock:
+            setattr(self, name, getattr(self, name) + ms)
+
+    def copy(self):
+        return replace(
+            self,
+            **{
+                f.name: dict(getattr(self, f.name))
+                for f in fields(self)
+                if isinstance(getattr(self, f.name), dict)
+            },
+        )
+
+    def minus(self, before):
+        """Per-execution delta: ``self`` (after) minus ``before``."""
+        delta = type(self)()
+        for f in fields(self):
+            after, prior = getattr(self, f.name), getattr(before, f.name)
+            if isinstance(after, dict):
+                out: dict[str, int] = getattr(delta, f.name)
+                for wrapper, value in after.items():
+                    diff = value - prior.get(wrapper, 0)
+                    if diff:
+                        out[wrapper] = diff
+            else:
+                setattr(delta, f.name, after - prior)
+        return delta
+
+    @property
+    def empty(self) -> bool:
+        return not any(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass
+class ResilienceStats(_WrapperCounters):
+    """Lifetime fault-handling counters of one scheduler, per wrapper;
+    the per-execution delta is ``ExecutionResult.resilience``."""
 
     retries: dict[str, int] = field(default_factory=dict)
     timeouts: dict[str, int] = field(default_factory=dict)
@@ -467,41 +522,6 @@ class ResilienceStats:
     failed_submits: dict[str, int] = field(default_factory=dict)
     backoff_ms: float = 0.0
     cancelled_wait_ms: float = 0.0
-
-    _COUNTER_FIELDS = (
-        "retries",
-        "timeouts",
-        "attempt_errors",
-        "breaker_trips",
-        "breaker_fast_fails",
-        "failed_submits",
-    )
-
-    @staticmethod
-    def _inc(counter: dict[str, int], wrapper: str, amount: int = 1) -> None:
-        counter[wrapper] = counter.get(wrapper, 0) + amount
-
-    def copy(self) -> "ResilienceStats":
-        return replace(
-            self,
-            **{name: dict(getattr(self, name)) for name in self._COUNTER_FIELDS},
-        )
-
-    def minus(self, before: "ResilienceStats") -> "ResilienceStats":
-        """Per-execution delta: ``self`` (after) minus ``before``."""
-        delta = ResilienceStats(
-            backoff_ms=self.backoff_ms - before.backoff_ms,
-            cancelled_wait_ms=self.cancelled_wait_ms - before.cancelled_wait_ms,
-        )
-        for name in self._COUNTER_FIELDS:
-            after_counter: dict[str, int] = getattr(self, name)
-            before_counter: dict[str, int] = getattr(before, name)
-            out: dict[str, int] = getattr(delta, name)
-            for wrapper, value in after_counter.items():
-                diff = value - before_counter.get(wrapper, 0)
-                if diff:
-                    out[wrapper] = diff
-        return delta
 
     @property
     def total_retries(self) -> int:
@@ -519,22 +539,12 @@ class ResilienceStats:
     def total_failed_submits(self) -> int:
         return sum(self.failed_submits.values())
 
-    @property
-    def empty(self) -> bool:
-        return (
-            not any(getattr(self, name) for name in self._COUNTER_FIELDS)
-            and self.backoff_ms == 0.0
-            and self.cancelled_wait_ms == 0.0
-        )
-
 
 @dataclass
-class ReplicaStats:
-    """Lifetime replica-dispatch counters of one scheduler, per wrapper.
-
-    Same snapshot/delta protocol as :class:`ResilienceStats`; only
-    attached to results when the catalog actually has replica sets.
-    """
+class ReplicaStats(_WrapperCounters):
+    """Lifetime replica-dispatch counters of one scheduler, per wrapper;
+    only attached to results (``ExecutionResult.replication``) when the
+    catalog actually has replica sets."""
 
     #: Submits served by each wrapper *as the optimizer's replica
     #: choice* (counted only for replicated sources).
@@ -550,37 +560,6 @@ class ReplicaStats:
     #: mediator clock — it happened on the losing parallel timeline).
     hedge_cancelled_ms: float = 0.0
 
-    _COUNTER_FIELDS = (
-        "selected",
-        "failovers",
-        "hedges_launched",
-        "hedges_won",
-    )
-
-    _inc = staticmethod(ResilienceStats._inc)
-
-    def copy(self) -> "ReplicaStats":
-        return replace(
-            self,
-            **{name: dict(getattr(self, name)) for name in self._COUNTER_FIELDS},
-        )
-
-    def minus(self, before: "ReplicaStats") -> "ReplicaStats":
-        """Per-execution delta: ``self`` (after) minus ``before``."""
-        delta = ReplicaStats(
-            hedge_cancelled_ms=self.hedge_cancelled_ms
-            - before.hedge_cancelled_ms,
-        )
-        for name in self._COUNTER_FIELDS:
-            after_counter: dict[str, int] = getattr(self, name)
-            before_counter: dict[str, int] = getattr(before, name)
-            out: dict[str, int] = getattr(delta, name)
-            for wrapper, value in after_counter.items():
-                diff = value - before_counter.get(wrapper, 0)
-                if diff:
-                    out[wrapper] = diff
-        return delta
-
     @property
     def total_failovers(self) -> int:
         return sum(self.failovers.values())
@@ -592,13 +571,6 @@ class ReplicaStats:
     @property
     def total_hedges_won(self) -> int:
         return sum(self.hedges_won.values())
-
-    @property
-    def empty(self) -> bool:
-        return (
-            not any(getattr(self, name) for name in self._COUNTER_FIELDS)
-            and self.hedge_cancelled_ms == 0.0
-        )
 
 
 __all__ = [

@@ -20,39 +20,46 @@ stack by default; wall-clock thread-pool dispatch with ``repro.rt``):
   wrapper waits overlap, charged as the wave's list-scheduled makespan
   through :class:`~repro.sources.clock.ParallelClock`.
 
-Both paths consult an optional :class:`~repro.mediator.cache.
-SubanswerCache`: a hit skips wrapper execution and communication
-entirely and charges zero time.  A cache hit is served *before* the
-fault-tolerance layer runs — it bypasses retry budget and circuit
-breakers alike, because the memoized rows came from a past successful
-execution and serving them during an outage is exactly the point.
+Both run **one per-submit sequence** (§2.2 Steps 4–5,
+:meth:`SubmitScheduler._submit`): cache lookup → submit span → attempt
+loop → replica failover → cache store → span close.  Where the costs
+land — on the clock at once, or in a wave branch — is the ``charges``
+strategy handed in; which fault-tolerance *policies* act inside the
+sequence is decided once, at construction, from the
+:class:`~repro.mediator.resilience.ResilienceOptions`:
 
-With a :class:`~repro.mediator.resilience.ResilienceOptions` installed,
-both dispatch paths run each wrapper execution under the retry policy
-(bounded attempts, exponential backoff charged on the simulated clock, a
-per-submit deadline that cancels a wrapper wait mid-flight) behind a
-per-wrapper circuit breaker.  A submit that exhausts its budget returns
-a *failed* :class:`DispatchOutcome` — the executor decides whether that
-raises (``strict``) or degrades the answer (``partial``).  Failed
+* no options — one attempt, no breaker, no replica step;
+* a retry policy — bounded attempts, exponential backoff charged on the
+  backend's clock, a per-submit deadline that cancels a wrapper wait
+  mid-flight;
+* a breaker policy — a per-wrapper circuit breaker in front of the loop;
+* **failover**, when the submit's wrapper is in a replica set — a submit
+  that exhausts its budget (or fast-fails on an open breaker)
+  re-dispatches against the next-cheapest healthy replica, rebinding the
+  outcome's Submit to the rescuing wrapper so the submit log and drift
+  join record where the rows actually came from; the attempt chain lands
+  in the span tree and in :attr:`SubmitFailure.replicas_tried` when
+  every member fails;
+* **hedged submits**, with an opt-in :class:`~repro.mediator.resilience.
+  HedgePolicy` on a backend that models overlapping timelines — a
+  wrapper wait that overruns the hedge threshold launches one backup
+  submit at the cheapest healthy replica; the first result wins and only
+  the winner's duration is charged (the loser's remainder is recorded as
+  cancelled hedge work, not mediator time).
+
+**The fault contract.**  A wrapper fault never escapes a dispatch call:
+it becomes a *failed* :class:`DispatchOutcome` that carries the
+structured :class:`~repro.mediator.resilience.SubmitFailure` and the
+original exception, and the consumer decides — the executor re-raises
+the exception unchanged (no options), raises ``SubmitFailedError``
+(``strict``) or degrades the answer (``partial``).  So a wave always
+finishes its sibling branches, commits, and closes its spans.  Failed
 attempts are never stored in the cache and never appear in the submit
-log (history must only learn from real, successful measurements).
-
-When the catalog carries **replica sets**, two further behaviors arm
-(both entirely inert otherwise — the no-replica dispatch path stays byte
-for byte the seed path):
-
-* **failover** — a submit that exhausts its retry budget (or fast-fails
-  on an open breaker) re-dispatches against the next-cheapest healthy
-  replica instead of failing, rebinding the outcome's Submit to the
-  rescuing wrapper so the submit log and drift join record where the
-  rows actually came from; the attempt chain lands in the span tree and
-  in :attr:`SubmitFailure.replicas_tried` when every member fails;
-* **hedged submits** — with an opt-in :class:`~repro.mediator.
-  resilience.HedgePolicy`, a wrapper wait that overruns the hedge
-  threshold launches one backup submit at the cheapest healthy replica;
-  the first result wins and only the winner's duration is charged — the
-  loser's unconsumed remainder is recorded as cancelled hedge work, not
-  mediator time.
+log (history must only learn from real, successful measurements).  A
+cache hit is served *before* any policy runs — it bypasses retry budget
+and circuit breakers alike, because the memoized rows came from a past
+successful execution and serving them during an outage is exactly the
+point.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import count
 from typing import Callable, Sequence
 
 from repro.algebra.logical import PlanNode, Project, Submit
@@ -69,17 +78,21 @@ from repro.mediator.cache import CacheEntry, SubanswerCache
 from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.resilience import (
     CLOSED,
-    HALF_OPEN,
     OPEN,
     CircuitBreaker,
+    HedgePolicy,
     ReplicaStats,
     ResilienceOptions,
     ResilienceStats,
+    RetryPolicy,
     SubmitFailure,
 )
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.sources.clock import SimClock, WaveStats
+from repro.sources.clock import WaveStats
 from repro.wrappers.base import ExecutionResult
+
+#: The attempt budget of a scheduler with no fault-tolerance options.
+_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 def estimate_payload_bytes(
@@ -119,13 +132,16 @@ class DispatchOutcome:
     #: True when the subanswer came from the cache — no wrapper execution
     #: happened and nothing should be recorded in the submit log.
     cached: bool = False
-    #: Wrapper executions this outcome took (1 on the seed path; >1 when
-    #: a retry succeeded; 0 when the breaker fast-failed the submit).
+    #: Wrapper executions this outcome took (>1 when a retry succeeded;
+    #: 0 when the breaker fast-failed the submit).
     attempts: int = 1
-    #: Set when the submit exhausted its retry budget (or fast-failed);
+    #: Set when the submit exhausted its attempts (or fast-failed);
     #: ``result`` is then an empty placeholder and must not be consumed
     #: as a real subanswer.
     failure: SubmitFailure | None = None
+    #: The wrapper exception behind a failed outcome's last attempt
+    #: (``None`` for a breaker fast-fail or a deadline cancel).
+    fault: BaseException | None = None
 
     @property
     def failed(self) -> bool:
@@ -138,23 +154,32 @@ class SubmitScheduler:
     def __init__(
         self,
         catalog: MediatorCatalog,
-        clock: SimClock | None = None,
         max_concurrency: int | None = None,
         cache: SubanswerCache | None = None,
         resilience: ResilienceOptions | None = None,
         backend: ExecutionBackend | None = None,
     ) -> None:
         self.catalog = catalog
-        #: The time-and-dispatch seam.  ``backend`` wins when given;
-        #: otherwise the seed sim stack is built around ``clock``.
-        self.backend = backend if backend is not None else SimBackend(clock)
+        #: The time-and-dispatch seam (the seed sim stack by default).
+        self.backend = backend if backend is not None else SimBackend()
         self.clock = self.backend.clock
         self.cache = cache
         self.parallel = self.backend.attach_waves(max_concurrency)
         self.last_wave: WaveStats | None = None
-        #: Fault-tolerance policies; ``None`` keeps the seed dispatch
-        #: path byte for byte.
+        self._sequential = self.backend.sequential_charges()
+        #: Fault-tolerance options; the policies they install are
+        #: resolved here, once.  Absent options install none.
         self.resilience = resilience
+        self._retry = _ONE_ATTEMPT if resilience is None else resilience.retry
+        self._breaker_policy = None if resilience is None else resilience.breaker
+        #: Replica sets are consulted (failover, ``selected`` counts)
+        #: only under fault-tolerance options.
+        self._replica_step = resilience is not None
+        # Hedging charges the winner of two modelled timelines; on a
+        # wall clock the primary wait is spent before its length is known.
+        self._hedge: HedgePolicy | None = (
+            None if resilience is None or self.backend.real_time else resilience.hedge
+        )
         #: Per-wrapper circuit breakers, created lazily on first dispatch.
         self.breakers: dict[str, CircuitBreaker] = {}
         #: Lifetime fault-handling counters (executor snapshots deltas).
@@ -167,13 +192,14 @@ class SubmitScheduler:
         self.replica_ranker: (
             Callable[[Submit, tuple[str, ...]], Sequence[str]] | None
         ) = None
-        #: Recent successful wrapper latencies, kept only while a hedge
-        #: policy is armed (drives the percentile trigger).
+        #: Recent successful wrapper latencies per hedged wrapper (drives
+        #: the percentile trigger).
         self._latency_history: dict[str, deque[float]] = {}
-        #: Monotonic resilient-dispatch counter; part of the per-submit
+        #: Numbers the submits that may retry; part of the per-submit
         #: jitter seed so same-wave retries against one wrapper don't
-        #: thunder-herd on identical backoff schedules.
-        self._dispatch_seq = 0
+        #: thunder-herd on identical backoff schedules.  ``next`` on a
+        #: ``count`` is atomic, so pool threads never share a number.
+        self._dispatch_seq = count(1)
         #: Telemetry sink; the shared null tracer keeps every span site a
         #: constant-time no-op until the mediator injects a real one.
         self.tracer: SpanTracer = NULL_TRACER
@@ -214,12 +240,13 @@ class SubmitScheduler:
     # -- circuit breakers ---------------------------------------------------
 
     def _breaker(self, wrapper: str) -> CircuitBreaker | None:
-        if self.resilience is None or self.resilience.breaker is None:
+        if self._breaker_policy is None:
             return None
         breaker = self.breakers.get(wrapper)
         if breaker is None:
-            breaker = self.breakers[wrapper] = CircuitBreaker(
-                self.resilience.breaker
+            # setdefault: concurrent wave branches must share one breaker.
+            breaker = self.breakers.setdefault(
+                wrapper, CircuitBreaker(self._breaker_policy)
             )
         return breaker
 
@@ -229,378 +256,24 @@ class SubmitScheduler:
             name for name, breaker in self.breakers.items() if breaker.state != CLOSED
         )
 
-    # -- replicas -----------------------------------------------------------
+    def _record_failure(self, wrapper: str, breaker: CircuitBreaker | None) -> None:
+        """Count one failure against a wrapper's breaker; a failure that
+        trips it open is counted and traced."""
+        if breaker is not None and breaker.record_failure(self.clock.now_ms):
+            stats = self.resilience_stats
+            stats._inc(stats.breaker_trips, wrapper)
+            if self.tracer.enabled:
+                self.tracer.event("breaker.open", kind="breaker", wrapper=wrapper)
 
-    def _breaker_blocked(self, wrapper: str) -> bool:
-        """Would a dispatch to this wrapper fast-fail right now?"""
-        breaker = self.breakers.get(wrapper)
-        if breaker is None:
-            return False
-        if breaker.state == OPEN:
-            assert breaker.opened_at_ms is not None
-            return (
-                self.clock.now_ms - breaker.opened_at_ms
-                < breaker.policy.cooldown_ms
-            )
-        if breaker.state == HALF_OPEN:
-            return breaker._probe_in_flight
-        return False
+    # -- the per-submit sequence ---------------------------------------------
 
-    def _replica_candidates(
-        self, submit: Submit, exclude: Sequence[str]
-    ) -> list[str]:
-        """Healthy replica members to try for a submit, cheapest first
-        (via the injected ranker; catalog order otherwise)."""
-        members = self.catalog.replica_members(submit.wrapper)
-        candidates = [
-            member
-            for member in members
-            if member not in exclude and not self._breaker_blocked(member)
-        ]
-        if len(candidates) > 1 and self.replica_ranker is not None:
-            candidates = list(self.replica_ranker(submit, tuple(candidates)))
-        return candidates
+    def _submit(self, submit: Submit, charges) -> DispatchOutcome:
+        """Ship one subquery and collect its subanswer (§2.2 Steps 4–5).
 
-    def _rebound(self, submit: Submit, wrapper: str) -> Submit:
-        """The same submit re-targeted at a replica.  The child subtree is
-        *shared*, not cloned: downstream consumers (drift, profile) join
-        on ``child.node_id``, which must keep naming the planned node."""
-        return Submit(
-            submit.child, wrapper, shard=submit.shard, shard_of=submit.shard_of
-        )
-
-    # -- fault-tolerant attempt loop -----------------------------------------
-
-    def _failed_outcome(
-        self, submit: Submit, failure: SubmitFailure
-    ) -> DispatchOutcome:
-        return DispatchOutcome(
-            submit=submit,
-            result=ExecutionResult(rows=[], total_time_ms=0.0, time_first_ms=0.0),
-            attempts=failure.attempts,
-            failure=failure,
-        )
-
-    def _resilient_execute(self, submit: Submit, charges) -> DispatchOutcome:
-        """Run one submit under the retry policy behind its breaker.
-
-        Charges request messages per attempt plus the simulated waits
-        (wrapper time, failure latency, backoff, cancelled remainders)
-        through the ``charges`` strategy; the *response* message of a
-        successful outcome is the caller's job (it differs between the
-        sequential and wave paths).
+        The single sequence behind :meth:`dispatch_one` and every branch
+        of :meth:`dispatch_wave`; ``charges`` says where the costs land.
+        Never raises on a wrapper fault — see the module's fault contract.
         """
-        options = self.resilience
-        assert options is not None
-        policy = options.retry
-        stats = self.resilience_stats
-        tracer = self.tracer
-        name = submit.wrapper
-        collection = submit.child.primary_collection()
-        self._dispatch_seq += 1
-        dispatch_seq = self._dispatch_seq
-        breaker = self._breaker(name)
-        if breaker is not None and not breaker.allow(self.clock.now_ms):
-            stats._inc(stats.breaker_fast_fails, name)
-            if tracer.enabled:
-                tracer.event("breaker.fast_fail", kind="breaker", wrapper=name)
-            return self._failed_outcome(
-                submit,
-                SubmitFailure(
-                    wrapper=name,
-                    subquery=submit.child.describe(),
-                    node_id=submit.node_id,
-                    collection=collection,
-                    reason="circuit_open",
-                    attempts=0,
-                ),
-            )
-        wrapper = self.catalog.wrapper(name)
-        deadline = policy.deadline_ms
-        waited = 0.0
-        attempts = 0
-        reason = "transient"
-        while attempts < policy.max_attempts:
-            attempts += 1
-            charges.message()  # ship the subquery (again, on a retry)
-            attempt = self.backend.measured_execute(
-                wrapper,
-                submit.child,
-                budget_ms=(
-                    None if deadline is None else max(0.0, deadline - waited)
-                ),
-            )
-            result = attempt.result
-            wait = attempt.duration_ms
-            error_reason = attempt.error
-            if deadline is not None and waited + wait > deadline:
-                # The deadline fires mid-wait: cancel the wrapper wait,
-                # charge only the remaining budget, discard any rows.
-                remaining = max(0.0, deadline - waited)
-                charges.idle_wait(remaining)
-                stats.cancelled_wait_ms += wait - remaining
-                waited = deadline
-                stats._inc(stats.timeouts, name)
-                reason = "timeout"
-                if tracer.enabled:
-                    tracer.event(
-                        "submit.timeout",
-                        kind="retry",
-                        wrapper=name,
-                        attempt=attempts,
-                        cancelled_ms=wait - remaining,
-                    )
-                if breaker is not None and breaker.record_failure(self.clock.now_ms):
-                    stats._inc(stats.breaker_trips, name)
-                    if tracer.enabled:
-                        tracer.event("breaker.open", kind="breaker", wrapper=name)
-                break  # the wait budget is gone: no attempt can fit
-            if error_reason is None:
-                assert result is not None
-                hedged = self._maybe_hedge(
-                    submit, wait, result, attempts, charges, breaker
-                )
-                if hedged is not None:
-                    return hedged
-                charges.wrapper_wait(wait)
-                if breaker is not None:
-                    breaker.record_success()
-                if attempts > 1:
-                    # Retried submits carry fault latency in their wall
-                    # story; mark the (clean-attempt) result so the
-                    # calibration window can skip it.
-                    result = replace(result, fault_tainted=True)
-                return DispatchOutcome(
-                    submit=submit, result=result, attempts=attempts
-                )
-            charges.wrapper_wait(wait)
-            waited += wait
-            reason = error_reason
-            stats._inc(stats.attempt_errors, name)
-            if breaker is not None:
-                if breaker.record_failure(self.clock.now_ms):
-                    stats._inc(stats.breaker_trips, name)
-                    if tracer.enabled:
-                        tracer.event("breaker.open", kind="breaker", wrapper=name)
-                if breaker.state == OPEN:
-                    # A tripped breaker stops the loop: a dead source
-                    # must not burn the remaining retry budget.
-                    break
-            if attempts < policy.max_attempts:
-                backoff = policy.backoff_ms(
-                    attempts, self._jitter_rng(name, dispatch_seq, attempts)
-                )
-                if deadline is not None:
-                    backoff = min(backoff, deadline - waited)
-                if backoff > 0:
-                    charges.idle_wait(backoff)
-                    stats.backoff_ms += backoff
-                    waited += backoff
-                stats._inc(stats.retries, name)
-                if tracer.enabled:
-                    tracer.event(
-                        "retry",
-                        kind="retry",
-                        wrapper=name,
-                        attempt=attempts + 1,
-                        backoff_ms=backoff,
-                        reason=error_reason,
-                    )
-        stats._inc(stats.failed_submits, name)
-        return self._failed_outcome(
-            submit,
-            SubmitFailure(
-                wrapper=name,
-                subquery=submit.child.describe(),
-                node_id=submit.node_id,
-                collection=collection,
-                reason=reason,
-                attempts=attempts,
-            ),
-        )
-
-    def _jitter_rng(self, wrapper: str, dispatch_seq: int, attempt: int) -> random.Random:
-        """A fresh deterministic RNG per backoff draw, seeded from
-        (options seed, wrapper, submit dispatch sequence, attempt index).
-        String seeds hash stably across processes, and distinct submits
-        retrying against the same wrapper de-synchronize instead of
-        thunder-herding on one shared schedule."""
-        assert self.resilience is not None
-        return random.Random(
-            f"{self.resilience.seed}:{wrapper}:{dispatch_seq}:{attempt}"
-        )
-
-    # -- hedged submits -----------------------------------------------------
-
-    def _maybe_hedge(
-        self,
-        submit: Submit,
-        wait: float,
-        result: ExecutionResult,
-        attempts: int,
-        charges,
-        breaker: CircuitBreaker | None,
-    ) -> DispatchOutcome | None:
-        """Race a straggling (but ultimately successful) primary wait
-        against one backup replica.  Returns the finished outcome when a
-        hedge ran — with only the *winner's* duration charged — or None
-        when hedging is off/inapplicable (the caller then charges the
-        primary wait exactly as before)."""
-        options = self.resilience
-        policy = options.hedge if options is not None else None
-        if policy is None or not self.catalog.has_replicas():
-            return None
-        name = submit.wrapper
-        if len(self.catalog.replica_members(name)) == 1:
-            return None
-        history = self._latency_history.get(name)
-        if history is None:
-            history = self._latency_history[name] = deque(maxlen=policy.window)
-        threshold = policy.threshold_ms(list(history))
-        history.append(wait)
-        if wait <= threshold:
-            return None
-        candidates = self._replica_candidates(submit, exclude=(name,))
-        if not candidates:
-            return None
-        backup_name = candidates[0]
-        rstats = self.replica_stats
-        stats = self.resilience_stats
-        tracer = self.tracer
-        rstats._inc(rstats.hedges_launched, backup_name)
-        charges.message()  # the backup subquery ships too
-        if tracer.enabled:
-            tracer.event(
-                "hedge.launch",
-                kind="hedge",
-                wrapper=name,
-                backup=backup_name,
-                threshold_ms=threshold,
-                primary_ms=wait,
-            )
-        backup_breaker = self._breaker(backup_name)
-        backup_wrapper = self.catalog.wrapper(backup_name)
-        backup = self.backend.measured_execute(backup_wrapper, submit.child)
-        backup_result = backup.result
-        backup_wait = backup.duration_ms
-        if backup_result is not None and threshold + backup_wait < wait:
-            # Backup wins: the mediator waited threshold (for the hedge
-            # to fire) plus the backup's service time; the primary's
-            # still-outstanding remainder is cancelled, never charged.
-            winner_ms = threshold + backup_wait
-            charges.wrapper_wait(winner_ms)
-            rstats._inc(rstats.hedges_won, backup_name)
-            rstats.hedge_cancelled_ms += wait - winner_ms
-            if backup_breaker is not None:
-                backup_breaker.record_success()
-            if breaker is not None:
-                breaker.record_success()  # the primary did answer, late
-            if tracer.enabled:
-                tracer.event(
-                    "hedge.won",
-                    kind="hedge",
-                    wrapper=name,
-                    backup=backup_name,
-                    winner_ms=winner_ms,
-                    cancelled_ms=wait - winner_ms,
-                )
-            return DispatchOutcome(
-                submit=self._rebound(submit, backup_name),
-                result=replace(backup_result, fault_tainted=True),
-                attempts=attempts,
-            )
-        # Primary wins (or the backup faulted): charge the primary wait
-        # as usual; all backup work happened on the losing timeline.
-        charges.wrapper_wait(wait)
-        rstats.hedge_cancelled_ms += backup_wait
-        if backup_result is None:
-            if backup_breaker is not None and backup_breaker.record_failure(
-                self.clock.now_ms
-            ):
-                stats._inc(stats.breaker_trips, backup_name)
-        if breaker is not None:
-            breaker.record_success()
-        if attempts > 1:
-            result = replace(result, fault_tainted=True)
-        return DispatchOutcome(submit=submit, result=result, attempts=attempts)
-
-    # -- failover -----------------------------------------------------------
-
-    def _dispatch_with_failover(self, submit: Submit, charges) -> DispatchOutcome:
-        """Resilient dispatch plus replica failover.
-
-        Without replica sets this is exactly :meth:`_resilient_execute`.
-        With them, a failed submit walks the remaining healthy members
-        cheapest-first; a rescue rebinds the outcome's Submit to the
-        serving wrapper (sharing the planned child subtree, so drift and
-        profile joins keep working).  When every member fails, the plan
-        submit's failure is returned with the full attempt chain in
-        ``replicas_tried``.
-        """
-        outcome = self._resilient_execute(submit, charges)
-        if not self.catalog.has_replicas():
-            return outcome
-        if len(self.catalog.replica_members(submit.wrapper)) == 1:
-            return outcome
-        rstats = self.replica_stats
-        if not outcome.failed:
-            rstats._inc(rstats.selected, outcome.submit.wrapper)
-            return outcome
-        tracer = self.tracer
-        tried = [submit.wrapper]
-        assert outcome.failure is not None
-        first_failure = outcome.failure
-        total_attempts = outcome.attempts
-        while True:
-            candidates = self._replica_candidates(submit, exclude=tried)
-            if not candidates:
-                break
-            candidate = candidates[0]
-            if tracer.enabled:
-                tracer.event(
-                    "failover.try",
-                    kind="failover",
-                    wrapper=submit.wrapper,
-                    to=candidate,
-                    reason=first_failure.reason,
-                )
-            alt = self._resilient_execute(self._rebound(submit, candidate), charges)
-            tried.append(candidate)
-            total_attempts += alt.attempts
-            if not alt.failed:
-                rstats._inc(rstats.selected, candidate)
-                rstats._inc(rstats.failovers, candidate)
-                if tracer.enabled:
-                    tracer.event(
-                        "failover.rescued",
-                        kind="failover",
-                        wrapper=submit.wrapper,
-                        to=candidate,
-                        attempts=total_attempts,
-                    )
-                return DispatchOutcome(
-                    submit=alt.submit,
-                    result=replace(alt.result, fault_tainted=True),
-                    attempts=total_attempts,
-                )
-        failure = replace(
-            first_failure,
-            attempts=total_attempts,
-            replicas_tried=tuple(tried),
-        )
-        if tracer.enabled and len(tried) > 1:
-            tracer.event(
-                "failover.exhausted",
-                kind="failover",
-                wrapper=submit.wrapper,
-                replicas_tried=",".join(tried),
-            )
-        return self._failed_outcome(submit, failure)
-
-    # -- sequential dispatch ----------------------------------------------------
-
-    def dispatch_one(self, submit: Submit) -> DispatchOutcome:
-        """The additive model: the mediator waits for the whole wrapper."""
         cached = self._cached_outcome(submit)
         if cached is not None:
             return cached
@@ -614,38 +287,27 @@ class SubmitScheduler:
             if tracer.enabled
             else None
         )
-        charges = self.backend.sequential_charges()
-        if self.resilience is not None:
-            outcome = self._dispatch_with_failover(submit, charges)
-            if not outcome.failed:
-                payload = estimate_payload_bytes(
-                    self.catalog.statistics, submit.child, len(outcome.result.rows)
-                )
-                charges.message(payload_bytes=payload)
-                self._store(outcome.submit, outcome.result)
-            if span is not None:
-                tracer.end(span, **self._span_attrs(outcome))
-            return outcome
-        wrapper = self.catalog.wrapper(submit.wrapper)
-        charges.message()  # ship the subquery
-        attempt = self.backend.measured_execute(wrapper, submit.child)
-        result: ExecutionResult = attempt.reraise()
-        charges.wrapper_wait(attempt.duration_ms)
-        payload = estimate_payload_bytes(
-            self.catalog.statistics, submit.child, len(result.rows)
+        replicated = (
+            self._replica_step
+            and self.catalog.has_replicas()
+            and len(self.catalog.replica_members(submit.wrapper)) > 1
         )
-        charges.message(payload_bytes=payload)
-        self._store(submit, result)
+        outcome = self._attempt(submit, charges, self._hedge if replicated else None)
+        if replicated:
+            outcome = self._fail_over(submit, outcome, charges)
+        response_bytes = (
+            None
+            if outcome.failed
+            else estimate_payload_bytes(
+                self.catalog.statistics, submit.child, len(outcome.result.rows)
+            )
+        )
+        charges.finish(response_bytes)
+        if response_bytes is not None:
+            self._store(outcome.submit, outcome.result)
         if span is not None:
-            attrs = {
-                "rows": len(result.rows),
-                "wrapper_ms": result.total_time_ms,
-                "payload_bytes": payload,
-            }
-            if result.device_stats:
-                attrs.update(result.device_stats)
-            tracer.end(span, **attrs)
-        return DispatchOutcome(submit=submit, result=result)
+            tracer.end(span, **self._submit_close_attrs(outcome, response_bytes))
+        return outcome
 
     @staticmethod
     def _submit_open_attrs(submit: Submit) -> dict:
@@ -664,26 +326,348 @@ class SubmitScheduler:
         return attrs
 
     @staticmethod
-    def _span_attrs(outcome: DispatchOutcome) -> dict:
-        """Submit-span attributes of a resilience-layer outcome."""
+    def _submit_close_attrs(
+        outcome: DispatchOutcome, response_bytes: int | None
+    ) -> dict:
+        """Attributes a submit span closes with."""
         attrs: dict = {
             "attempts": outcome.attempts,
             "outcome": "failed" if outcome.failed else "ok",
         }
-        if outcome.failed:
-            assert outcome.failure is not None
-            attrs["reason"] = outcome.failure.reason
-            if outcome.failure.replicas_tried:
-                attrs["replicas_tried"] = ",".join(outcome.failure.replicas_tried)
+        failure = outcome.failure
+        if failure is not None:
+            attrs["reason"] = failure.reason
+            if failure.replicas_tried:
+                attrs["replicas_tried"] = ",".join(failure.replicas_tried)
         else:
+            result = outcome.result
             attrs["served_by"] = outcome.submit.wrapper
-            attrs["rows"] = len(outcome.result.rows)
-            attrs["wrapper_ms"] = outcome.result.total_time_ms
-            if outcome.result.device_stats:
-                attrs.update(outcome.result.device_stats)
+            attrs["rows"] = len(result.rows)
+            # A wave branch overlaps its siblings — the sim clock only
+            # advances at commit — so wrapper_ms carries the wait that a
+            # zero-length simulated span cannot show.
+            attrs["wrapper_ms"] = result.total_time_ms
+            attrs["payload_bytes"] = response_bytes
+            if result.device_stats:
+                attrs.update(result.device_stats)
         return attrs
 
-    # -- concurrent dispatch -----------------------------------------------------
+    # -- the attempt loop -----------------------------------------------------
+
+    def _failed(
+        self,
+        submit: Submit,
+        reason: str,
+        attempts: int,
+        fault: BaseException | None = None,
+    ) -> DispatchOutcome:
+        return DispatchOutcome(
+            submit=submit,
+            result=ExecutionResult(rows=[], total_time_ms=0.0, time_first_ms=0.0),
+            attempts=attempts,
+            failure=SubmitFailure(
+                wrapper=submit.wrapper,
+                subquery=submit.child.describe(),
+                node_id=submit.node_id,
+                collection=submit.child.primary_collection(),
+                reason=reason,
+                attempts=attempts,
+            ),
+            fault=fault,
+        )
+
+    def _attempt(
+        self, submit: Submit, charges, hedge: HedgePolicy | None
+    ) -> DispatchOutcome:
+        """Run one submit against its wrapper under the installed retry
+        policy, behind the wrapper's breaker when there is one.
+
+        Charges a request message per attempt plus the waits (wrapper
+        time, failure latency, backoff, cancelled remainders) through
+        ``charges``; the response message is the caller's to charge.
+        """
+        policy = self._retry
+        stats = self.resilience_stats
+        tracer = self.tracer
+        name = submit.wrapper
+        # Only a submit that may retry needs a jitter coordinate.
+        dispatch_seq = next(self._dispatch_seq) if policy.max_attempts > 1 else 0
+        breaker = self._breaker(name)
+        if breaker is not None and not breaker.allow(self.clock.now_ms):
+            stats._inc(stats.breaker_fast_fails, name)
+            if tracer.enabled:
+                tracer.event("breaker.fast_fail", kind="breaker", wrapper=name)
+            return self._failed(submit, "circuit_open", 0)
+        wrapper = self.catalog.wrapper(name)
+        deadline = policy.deadline_ms
+        waited = 0.0
+        attempts = 0
+        reason = "transient"
+        fault: BaseException | None = None
+        while attempts < policy.max_attempts:
+            attempts += 1
+            charges.message()  # ship the subquery (again, on a retry)
+            attempt = self.backend.measured_execute(
+                wrapper,
+                submit.child,
+                budget_ms=(
+                    None if deadline is None else max(0.0, deadline - waited)
+                ),
+            )
+            wait = attempt.duration_ms
+            if deadline is not None and waited + wait > deadline:
+                # The deadline fires mid-wait: cancel the wrapper wait,
+                # charge only the remaining budget, discard any rows.
+                remaining = max(0.0, deadline - waited)
+                charges.idle_wait(remaining)
+                stats._add_ms("cancelled_wait_ms", wait - remaining)
+                stats._inc(stats.timeouts, name)
+                reason, fault = "timeout", None
+                if tracer.enabled:
+                    tracer.event(
+                        "submit.timeout",
+                        kind="retry",
+                        wrapper=name,
+                        attempt=attempts,
+                        cancelled_ms=wait - remaining,
+                    )
+                self._record_failure(name, breaker)
+                break  # the wait budget is gone: no attempt can fit
+            if attempt.error is None:
+                result = attempt.result
+                assert result is not None
+                served = submit
+                if hedge is None:
+                    charges.wrapper_wait(wait)
+                else:
+                    served, result = self._hedged(
+                        submit, result, wait, charges, hedge
+                    )
+                if breaker is not None:
+                    breaker.record_success()  # a hedged primary did answer, late
+                if attempts > 1 or served is not submit:
+                    # Retried and hedge-won submits carry fault latency
+                    # in their wall story; mark the result so the
+                    # calibration window can skip it.
+                    result = replace(result, fault_tainted=True)
+                return DispatchOutcome(
+                    submit=served, result=result, attempts=attempts
+                )
+            charges.wrapper_wait(wait)
+            waited += wait
+            reason, fault = attempt.error, attempt.fault
+            stats._inc(stats.attempt_errors, name)
+            self._record_failure(name, breaker)
+            if breaker is not None and breaker.state == OPEN:
+                # A tripped breaker stops the loop: a dead source must
+                # not burn the remaining retry budget.
+                break
+            if attempts < policy.max_attempts:
+                backoff = policy.backoff_ms(
+                    attempts, self._jitter_rng(name, dispatch_seq, attempts)
+                )
+                if deadline is not None:
+                    backoff = min(backoff, deadline - waited)
+                if backoff > 0:
+                    charges.idle_wait(backoff)
+                    stats._add_ms("backoff_ms", backoff)
+                    waited += backoff
+                stats._inc(stats.retries, name)
+                if tracer.enabled:
+                    tracer.event(
+                        "retry",
+                        kind="retry",
+                        wrapper=name,
+                        attempt=attempts + 1,
+                        backoff_ms=backoff,
+                        reason=reason,
+                    )
+        stats._inc(stats.failed_submits, name)
+        return self._failed(submit, reason, attempts, fault)
+
+    def _jitter_rng(self, wrapper: str, dispatch_seq: int, attempt: int) -> random.Random:
+        """A fresh deterministic RNG per backoff draw, seeded from
+        (options seed, wrapper, submit dispatch sequence, attempt index).
+        String seeds hash stably across processes, and distinct submits
+        retrying against the same wrapper de-synchronize instead of
+        thunder-herding on one shared schedule."""
+        assert self.resilience is not None
+        return random.Random(
+            f"{self.resilience.seed}:{wrapper}:{dispatch_seq}:{attempt}"
+        )
+
+    # -- replicas: candidates, hedging, failover ------------------------------
+
+    def _replica_candidates(
+        self, submit: Submit, exclude: Sequence[str]
+    ) -> list[str]:
+        """Healthy replica members to try for a submit, cheapest first
+        (via the injected ranker; catalog order otherwise)."""
+        now_ms = self.clock.now_ms
+        candidates = []
+        for member in self.catalog.replica_members(submit.wrapper):
+            breaker = self.breakers.get(member)
+            if member not in exclude and not (
+                breaker is not None and breaker.blocked(now_ms)
+            ):
+                candidates.append(member)
+        if len(candidates) > 1 and self.replica_ranker is not None:
+            candidates = list(self.replica_ranker(submit, tuple(candidates)))
+        return candidates
+
+    def _rebound(self, submit: Submit, wrapper: str) -> Submit:
+        """The same submit re-targeted at a replica.  The child subtree is
+        *shared*, not cloned: downstream consumers (drift, profile) join
+        on ``child.node_id``, which must keep naming the planned node."""
+        return Submit(
+            submit.child, wrapper, shard=submit.shard, shard_of=submit.shard_of
+        )
+
+    def _hedged(
+        self,
+        submit: Submit,
+        result: ExecutionResult,
+        wait: float,
+        charges,
+        policy: HedgePolicy,
+    ) -> tuple[Submit, ExecutionResult]:
+        """Race a straggling (but successful) primary wait against one
+        backup replica.  Charges the *winner's* duration — the primary
+        wait itself when no hedge fires — and returns the serving submit
+        with its result."""
+        name = submit.wrapper
+        history = self._latency_history.get(name)
+        if history is None:
+            history = self._latency_history[name] = deque(maxlen=policy.window)
+        threshold = policy.threshold_ms(list(history))
+        history.append(wait)
+        candidates = (
+            self._replica_candidates(submit, exclude=(name,))
+            if wait > threshold
+            else ()
+        )
+        if not candidates:
+            charges.wrapper_wait(wait)
+            return submit, result
+        backup_name = candidates[0]
+        rstats = self.replica_stats
+        tracer = self.tracer
+        rstats._inc(rstats.hedges_launched, backup_name)
+        charges.message()  # the backup subquery ships too
+        if tracer.enabled:
+            tracer.event(
+                "hedge.launch",
+                kind="hedge",
+                wrapper=name,
+                backup=backup_name,
+                threshold_ms=threshold,
+                primary_ms=wait,
+            )
+        backup_breaker = self._breaker(backup_name)
+        backup = self.backend.measured_execute(
+            self.catalog.wrapper(backup_name), submit.child
+        )
+        if backup.result is not None and threshold + backup.duration_ms < wait:
+            # Backup wins: the mediator waited threshold (for the hedge
+            # to fire) plus the backup's service time; the primary's
+            # still-outstanding remainder is cancelled, never charged.
+            winner_ms = threshold + backup.duration_ms
+            charges.wrapper_wait(winner_ms)
+            rstats._inc(rstats.hedges_won, backup_name)
+            rstats._add_ms("hedge_cancelled_ms", wait - winner_ms)
+            if backup_breaker is not None:
+                backup_breaker.record_success()
+            if tracer.enabled:
+                tracer.event(
+                    "hedge.won",
+                    kind="hedge",
+                    wrapper=name,
+                    backup=backup_name,
+                    winner_ms=winner_ms,
+                    cancelled_ms=wait - winner_ms,
+                )
+            return self._rebound(submit, backup_name), backup.result
+        # Primary wins (or the backup faulted): charge the primary wait
+        # as usual; all backup work happened on the losing timeline.
+        charges.wrapper_wait(wait)
+        rstats._add_ms("hedge_cancelled_ms", backup.duration_ms)
+        if backup.result is None:
+            self._record_failure(backup_name, backup_breaker)
+        return submit, result
+
+    def _fail_over(
+        self, submit: Submit, outcome: DispatchOutcome, charges
+    ) -> DispatchOutcome:
+        """The replica step of a submit whose wrapper is in a replica set.
+
+        A failed submit walks the remaining healthy members
+        cheapest-first; a rescue rebinds the outcome's Submit to the
+        serving wrapper (sharing the planned child subtree, so drift and
+        profile joins keep working).  When every member fails, the plan
+        submit's failure is returned with the full attempt chain in
+        ``replicas_tried``.
+        """
+        rstats = self.replica_stats
+        if not outcome.failed:
+            rstats._inc(rstats.selected, outcome.submit.wrapper)
+            return outcome
+        tracer = self.tracer
+        tried = [submit.wrapper]
+        first_failure = outcome.failure
+        assert first_failure is not None
+        total_attempts = outcome.attempts
+        while True:
+            candidates = self._replica_candidates(submit, exclude=tried)
+            if not candidates:
+                break
+            candidate = candidates[0]
+            if tracer.enabled:
+                tracer.event(
+                    "failover.try",
+                    kind="failover",
+                    wrapper=submit.wrapper,
+                    to=candidate,
+                    reason=first_failure.reason,
+                )
+            alt = self._attempt(self._rebound(submit, candidate), charges, self._hedge)
+            tried.append(candidate)
+            total_attempts += alt.attempts
+            if not alt.failed:
+                rstats._inc(rstats.selected, candidate)
+                rstats._inc(rstats.failovers, candidate)
+                if tracer.enabled:
+                    tracer.event(
+                        "failover.rescued",
+                        kind="failover",
+                        wrapper=submit.wrapper,
+                        to=candidate,
+                        attempts=total_attempts,
+                    )
+                return DispatchOutcome(
+                    submit=alt.submit,
+                    result=replace(alt.result, fault_tainted=True),
+                    attempts=total_attempts,
+                )
+        if tracer.enabled and len(tried) > 1:
+            tracer.event(
+                "failover.exhausted",
+                kind="failover",
+                wrapper=submit.wrapper,
+                replicas_tried=",".join(tried),
+            )
+        return replace(
+            outcome,
+            attempts=total_attempts,
+            failure=replace(
+                first_failure, attempts=total_attempts, replicas_tried=tuple(tried)
+            ),
+        )
+
+    # -- the two dispatch modes -----------------------------------------------
+
+    def dispatch_one(self, submit: Submit) -> DispatchOutcome:
+        """The additive model: the mediator waits for the whole wrapper."""
+        return self._submit(submit, self._sequential)
 
     def dispatch_wave(self, submits: "list[Submit]") -> "list[DispatchOutcome]":
         """Dispatch independent subqueries as one concurrent wave.
@@ -693,8 +677,11 @@ class SubmitScheduler:
         messages remain serialized per-branch charges.  The backend runs
         the branches: the sim backend executes them in input order (so
         results — and the wrapper engines' own clocks — stay
-        deterministic), the real backend fans them out on its thread
-        pool; either way outcomes return in input order.
+        deterministic, and a within-wave duplicate hits the cache its
+        earlier sibling filled), the real backend fans them out on its
+        thread pool (concurrent duplicates race and may both execute);
+        either way outcomes return in input order.  The wave is committed
+        and its span closed on every exit.
         """
         tracer = self.tracer
         wave_span = (
@@ -702,78 +689,32 @@ class SubmitScheduler:
             if tracer.enabled
             else None
         )
+        branches = [self.backend.wave_charges(self.parallel) for _ in submits]
+        outcomes: list[DispatchOutcome] = []
         self.parallel.begin_wave()
-        outcomes: list[DispatchOutcome] = self.backend.run_wave(
-            [self._wave_branch(submit) for submit in submits]
-        )
-        self.last_wave = self.parallel.commit_wave()
-        for outcome in outcomes:
-            if outcome.cached or outcome.failed:
-                # Cache hits shipped nothing; failed submits have no
-                # subanswer, so there is no response message to charge.
-                continue
-            payload = estimate_payload_bytes(
-                self.catalog.statistics,
-                outcome.submit.child,
-                len(outcome.result.rows),
+        try:
+            outcomes = self.backend.run_wave(
+                [
+                    partial(self._submit, submit, charges)
+                    for submit, charges in zip(submits, branches)
+                ]
             )
-            self.parallel.charge_message(payload_bytes=payload)
-        if wave_span is not None:
-            tracer.end(
-                wave_span,
-                makespan_ms=self.last_wave.makespan_ms,
-                sequential_ms=self.last_wave.sequential_ms,
-                saved_ms=self.last_wave.saved_ms,
-                cached_branches=sum(1 for o in outcomes if o.cached),
-                failed_branches=sum(1 for o in outcomes if o.failed),
-            )
-        return outcomes
-
-    def _wave_branch(self, submit: Submit) -> Callable[[], DispatchOutcome]:
-        """One wave branch as a thunk the backend can run in-order (sim)
-        or on a pool thread (real)."""
-
-        def branch() -> DispatchOutcome:
-            tracer = self.tracer
-            # Within-wave duplicates hit the cache too: on the sim
-            # backend earlier branches store their subanswer before
-            # later ones look it up (in-order execution); on the real
-            # backend concurrent duplicates race and may both execute.
-            cached = self._cached_outcome(submit)
-            if cached is not None:
-                return cached
-            branch_span = (
-                tracer.start(
-                    f"submit:{submit.wrapper}",
-                    kind="submit",
-                    **self._submit_open_attrs(submit),
+        finally:
+            wave = self.last_wave = self.parallel.commit_wave()
+            for charges in branches:
+                # Cache hits shipped nothing and failed submits have no
+                # subanswer: neither has a response message to charge.
+                if charges.response_bytes is not None:
+                    self.parallel.charge_message(
+                        payload_bytes=charges.response_bytes
+                    )
+            if wave_span is not None:
+                tracer.end(
+                    wave_span,
+                    makespan_ms=wave.makespan_ms,
+                    sequential_ms=wave.sequential_ms,
+                    saved_ms=wave.saved_ms,
+                    cached_branches=sum(1 for o in outcomes if o.cached),
+                    failed_branches=sum(1 for o in outcomes if o.failed),
                 )
-                if tracer.enabled
-                else None
-            )
-            if self.resilience is not None:
-                charges = self.backend.wave_charges(self.parallel)
-                outcome = self._dispatch_with_failover(submit, charges)
-                self.parallel.charge_branch(charges.branch_ms)
-                if not outcome.failed:
-                    self._store(outcome.submit, outcome.result)
-                if branch_span is not None:
-                    tracer.end(branch_span, **self._span_attrs(outcome))
-                return outcome
-            wrapper = self.catalog.wrapper(submit.wrapper)
-            self.parallel.charge_message()  # ship the subquery
-            attempt = self.backend.measured_execute(wrapper, submit.child)
-            result = attempt.reraise()
-            self.parallel.charge_branch(attempt.duration_ms)
-            self._store(submit, result)
-            if branch_span is not None:
-                # The branch overlaps its siblings: the mediator clock only
-                # advances at commit, so wrapper_ms carries the wait that a
-                # zero-length simulated span cannot show.
-                attrs = {"rows": len(result.rows), "wrapper_ms": result.total_time_ms}
-                if result.device_stats:
-                    attrs.update(result.device_stats)
-                tracer.end(branch_span, **attrs)
-            return DispatchOutcome(submit=submit, result=result)
-
-        return branch
+        return outcomes

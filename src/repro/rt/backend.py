@@ -30,8 +30,9 @@ Hedged submits are the one resilience feature that stays simulation
 only: the sim scheduler models "first response wins" by charging the
 winner's timeline, but on a wall clock the primary wait has already
 been *spent* by the time its duration is known, so a real hedge needs
-true speculative dual dispatch (future work).  Retries, deadlines,
-failover and breaker cooldowns all run for real.
+true speculative dual dispatch (future work).  The scheduler therefore
+installs no hedge step on a backend whose ``real_time`` is true.
+Retries, deadlines, failover and breaker cooldowns all run for real.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import SourceFaultError, SourceUnavailableError
-from repro.mediator.backend import ExecutionBackend, MeasuredAttempt
+from repro.mediator.backend import ExecutionBackend, MeasuredAttempt, WaveCharges
 from repro.sources.clock import ClockStats, ParallelStats, SimClock, WaveStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,48 +175,6 @@ class WallWaveAccounting:
         return wave
 
 
-class RealSequentialCharges:
-    """Sequential-dispatch charges on the wall: messages and waits are
-    counted (time needs no help passing), backoffs genuinely sleep."""
-
-    __slots__ = ("clock",)
-
-    def __init__(self, clock: WallClock) -> None:
-        self.clock = clock
-
-    def message(self, payload_bytes: int = 0) -> None:
-        self.clock.charge_message(payload_bytes=payload_bytes)
-
-    def wrapper_wait(self, ms: float) -> None:
-        pass  # the wait already happened, on the wall
-
-    def idle_wait(self, ms: float) -> None:
-        self.clock.sleep(ms)
-
-
-class RealWaveCharges:
-    """Wave-branch charges on the wall: waits accumulate into the branch
-    duration (feeding the sequential-sum side of the wave accounting),
-    backoffs sleep on the branch's pool thread."""
-
-    __slots__ = ("parallel", "clock", "branch_ms")
-
-    def __init__(self, parallel: WallWaveAccounting, clock: WallClock) -> None:
-        self.parallel = parallel
-        self.clock = clock
-        self.branch_ms = 0.0
-
-    def message(self, payload_bytes: int = 0) -> None:
-        self.parallel.charge_message(payload_bytes=payload_bytes)
-
-    def wrapper_wait(self, ms: float) -> None:
-        self.branch_ms += ms
-
-    def idle_wait(self, ms: float) -> None:
-        self.branch_ms += ms
-        self.clock.sleep(ms)
-
-
 class RealTimeBackend(ExecutionBackend):
     """Wall-clock dispatch on a thread pool.
 
@@ -246,11 +205,9 @@ class RealTimeBackend(ExecutionBackend):
             self.max_workers = min(self.max_workers, max_concurrency)
         return WallWaveAccounting(self.clock, max_concurrency)
 
-    def sequential_charges(self) -> RealSequentialCharges:
-        return RealSequentialCharges(self.clock)
-
-    def wave_charges(self, parallel: Any) -> RealWaveCharges:
-        return RealWaveCharges(parallel, self.clock)
+    def wave_charges(self, parallel: Any) -> WaveCharges:
+        # Backoffs sleep on the branch's own pool thread.
+        return WaveCharges(parallel, self.clock.sleep)
 
     def measured_execute(
         self,

@@ -63,15 +63,20 @@ class _DispatchRequest:
 class TaskDispatchProxy:
     """Stands in for the executor's ``SubmitScheduler`` inside a task.
 
-    Dispatch methods block the task thread and yield to the coordinator;
-    everything else forwards to the shared scheduler so the executor's
-    bookkeeping (parallel stats, resilience stats, breakers) keeps
-    reading the real, shared state.
+    Dispatch methods block the task thread and yield to the coordinator,
+    which runs the request on the shared scheduler and hands back its
+    outcomes — failed ones included, so a wrapper fault surfaces in the
+    task that owns the submit, never in the coordinator.  Everything
+    else the executor reads from its dispatcher (clock, wave and
+    fault-handling counters) is the shared scheduler's own state.
     """
 
     def __init__(self, task: "QueryTask", shared: SubmitScheduler) -> None:
         self._task = task
-        self._shared = shared
+        self.clock = shared.clock
+        self.parallel = shared.parallel
+        self.resilience_stats = shared.resilience_stats
+        self.replica_stats = shared.replica_stats
         #: ``MediatorExecutor.set_tracer`` assigns this; the per-task
         #: tracer is used by the executor's compose spans, while submit
         #: and wave spans stay on the shared scheduler's own tracer.
@@ -90,27 +95,6 @@ class TaskDispatchProxy:
             _DispatchRequest(submits=list(submits), mode="wave")
         )
 
-    # -- passthrough state -----------------------------------------------------
-
-    @property
-    def parallel(self):
-        return self._shared.parallel
-
-    @property
-    def resilience_stats(self):
-        return self._shared.resilience_stats
-
-    @property
-    def replica_stats(self):
-        return self._shared.replica_stats
-
-    @property
-    def breakers(self):
-        return self._shared.breakers
-
-    def open_breaker_wrappers(self) -> "list[str]":
-        return self._shared.open_breaker_wrappers()
-
 
 class QueryTask:
     """One admitted query running in its own strict-handoff thread."""
@@ -120,14 +104,15 @@ class QueryTask:
         ticket: Any,
         tenant: str,
         estimated_ms: float,
-        executor: "MediatorExecutor",
         plan,
         tracer: "SpanTracer | None" = None,
     ) -> None:
         self.ticket = ticket
         self.tenant = tenant
         self.estimated_ms = estimated_ms
-        self.executor = executor
+        #: Set by the service once built: the executor dispatches through
+        #: a proxy that needs this task first.
+        self.executor: "MediatorExecutor | None" = None
         self.plan = plan
         self.tracer = tracer
         self.execution = None

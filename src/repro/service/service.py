@@ -352,27 +352,25 @@ class FederationService:
         self, ticket: Ticket, resolution: PlanResolution
     ) -> QueryTask:
         mediator = self.mediator
-        # A private executor per task: own submit log and prefetch state,
-        # but the shared clock, subanswer cache, and catalog — so all
-        # accounting lands on the one simulated timeline.
-        executor = MediatorExecutor(
-            mediator.catalog,
-            clock=self.clock,
-            options=mediator.executor.options,
-            cache=mediator.executor.cache,
-        )
         tracer = SpanTracer(self.clock) if self._trace_tasks else None
         task = QueryTask(
             ticket=ticket,
             tenant=ticket.tenant,
             estimated_ms=ticket.estimated_ms,
-            executor=executor,
             plan=resolution.optimized.plan,
             tracer=tracer,
         )
         task.optimized = resolution.optimized
         task.sql = resolution.sql
-        executor.scheduler = TaskDispatchProxy(task, mediator.executor.scheduler)
+        # A private executor per task — own submit log and prefetch
+        # state — dispatching through the shared scheduler, so all
+        # accounting lands on the one timeline, cache and catalog.
+        executor = task.executor = MediatorExecutor(
+            mediator.catalog,
+            options=mediator.executor.options,
+            cache=mediator.executor.cache,
+            scheduler=TaskDispatchProxy(task, mediator.executor.scheduler),
+        )
         if tracer is not None:
             executor.set_tracer(
                 tracer, trace_compose=mediator.observability.trace_compose

@@ -123,8 +123,10 @@ class TestMeasuredExecute:
             )
             attempt = backend.measured_execute(_StubWrapper(broken), scan)
             assert attempt.error == "transient"
+            # The original exception travels with the attempt, for the
+            # consumer to re-raise unchanged.
             with pytest.raises(ValueError):
-                attempt.reraise()
+                raise attempt.fault
 
     def test_deadline_abandons_an_overrunning_attempt(self):
         with RealTimeBackend() as backend:

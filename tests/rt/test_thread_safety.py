@@ -10,12 +10,24 @@ update under a data race shows up as an off-by-N, not a flake.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.algebra.logical import Scan, Submit
+from repro.errors import TransientSourceError
 from repro.mediator.cache import SubanswerCache
-from repro.mediator.resilience import BreakerPolicy, CircuitBreaker
+from repro.mediator.catalog import MediatorCatalog
+from repro.mediator.resilience import (
+    BreakerPolicy,
+    CircuitBreaker,
+    ReplicaStats,
+    ResilienceOptions,
+    ResilienceStats,
+    RetryPolicy,
+)
+from repro.mediator.scheduler import SubmitScheduler
+from repro.rt import RealTimeBackend
 from repro.obs.accuracy import DriftTracker
 from repro.wrappers.base import ExecutionResult
 
@@ -24,16 +36,23 @@ ROUNDS = 200
 
 
 def _hammer(worker, threads: int = THREADS) -> None:
-    """Run ``worker(index)`` on every thread, all released at once."""
+    """Run ``worker(index)`` on every thread, all released at once,
+    switching threads far more often than the interpreter's default so
+    an unguarded read-modify-write loses updates reliably."""
     barrier = threading.Barrier(threads)
 
     def _run(index: int) -> None:
-        barrier.wait()
+        barrier.wait(timeout=30)
         worker(index)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(_run, i) for i in range(threads)]:
-            future.result()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(_run, i) for i in range(threads)]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestCircuitBreakerConcurrency:
@@ -69,6 +88,77 @@ class TestCircuitBreakerConcurrency:
             _hammer(_try)
             assert len(admitted) == 1
             breaker.record_success()
+
+
+    def test_blocked_is_a_locked_read_that_claims_no_probe(self):
+        policy = BreakerPolicy(failure_threshold=1, cooldown_ms=5.0)
+        breaker = CircuitBreaker(policy)
+        breaker.record_failure(0.0)
+        blocked = []
+        _hammer(lambda i: blocked.append((breaker.blocked(1.0), breaker.blocked(10.0))))
+        # Inside the cooldown: blocked; past it: a probe may flow — and
+        # asking, however often, did not take the single probe slot.
+        assert blocked == [(True, False)] * THREADS
+        assert breaker.state == "open"
+        assert breaker.allow(10.0)
+        assert breaker.blocked(10.0)  # the probe is out now
+
+
+class TestDispatchStatsConcurrency:
+    def test_concurrent_increments_count_exactly(self):
+        for stats, counter, accumulator in (
+            (ResilienceStats(), "retries", "backoff_ms"),
+            (ReplicaStats(), "failovers", "hedge_cancelled_ms"),
+        ):
+            def _bump(index: int) -> None:
+                for _ in range(ROUNDS):
+                    stats._inc(getattr(stats, counter), f"w{index % 2}")
+                    stats._add_ms(accumulator, 0.5)
+
+            _hammer(_bump)
+            assert getattr(stats, counter) == {
+                "w0": THREADS * ROUNDS // 2,
+                "w1": THREADS * ROUNDS // 2,
+            }
+            assert getattr(stats, accumulator) == THREADS * ROUNDS * 0.5
+
+    def test_wave_branches_draw_distinct_dispatch_numbers(self):
+        """Branches of a real wave retry against one wrapper: the
+        counters are exact and every submit drew its own jitter number."""
+
+        class _FailsOddCalls:
+            name = "w"
+
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def execute(self, plan):
+                with self.lock:
+                    self.calls += 1
+                    odd = self.calls % 2 == 1
+                if odd:
+                    raise TransientSourceError("flaky", elapsed_ms=0.0)
+                return ExecutionResult(rows=[], total_time_ms=0.0)
+
+        catalog = MediatorCatalog()
+        catalog.add_wrapper(_FailsOddCalls())
+        options = ResilienceOptions(
+            retry=RetryPolicy(max_attempts=64, backoff_base_ms=0.0), breaker=None
+        )
+        branches = THREADS * 8
+        with RealTimeBackend(max_workers=THREADS) as backend:
+            scheduler = SubmitScheduler(catalog, resilience=options, backend=backend)
+            outcomes = scheduler.dispatch_wave(
+                [Submit(Scan("T"), "w") for _ in range(branches)]
+            )
+        assert not any(outcome.failed for outcome in outcomes)
+        stats = scheduler.resilience_stats
+        retries = sum(outcome.attempts - 1 for outcome in outcomes)
+        assert stats.retries == {"w": retries}
+        assert stats.attempt_errors == {"w": retries}
+        assert retries == branches  # one failed odd call per even success
+        assert next(scheduler._dispatch_seq) == branches + 1  # none lost
 
 
 class TestDriftTrackerConcurrency:
