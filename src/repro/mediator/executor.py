@@ -22,21 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
-from repro.algebra.expressions import AttributeRef, Or, conjunction, eq
-from repro.algebra.logical import (
-    Aggregate,
-    BindJoin,
-    Distinct,
-    Join,
-    PlanNode,
-    Project,
-    Scan,
-    Scatter,
-    Select,
-    Sort,
-    Submit,
-    Union,
-)
+from repro.algebra.expressions import Or, conjunction, eq
+from repro.algebra.logical import BindJoin, PlanNode, Scan, Scatter, Select, Submit
+from repro.algebra.rowops import eval_charge, getter, handlers, merge_rows, timed_rows
 from repro.errors import PlanError, SubmitFailedError
 from repro.mediator.backend import (
     MEDIATOR_PROFILE as MEDIATOR_PROFILE,  # historic home; re-exported
@@ -54,7 +42,6 @@ from repro.mediator.scheduler import DispatchOutcome, SubmitScheduler
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.sources.pages import Row
 from repro.wrappers.base import ExecutionResult
-from repro.wrappers.interpreter import _aggregate_value, _merge_rows
 
 
 @dataclass
@@ -116,6 +103,15 @@ class MediatorExecutor:
         #: caller that shares one across executors — the serving layer.
         self.scheduler = scheduler
         self.clock = scheduler.clock
+        #: ``type(node) → handler``: the shared row operators over
+        #: ``self._run(child)``, plus the nodes only the mediator runs.
+        self._handlers = {
+            **handlers(self._run, self.clock),
+            Submit: self._run_submit,
+            Scan: self._run_scan,
+            BindJoin: self._run_bindjoin,
+            Scatter: self._run_scatter,
+        }
         self._submit_log: list[tuple[Submit, ExecutionResult]] = []
         self._prefetched: dict[int, DispatchOutcome] = {}
         #: Submit failures of the current execution (partial mode only).
@@ -156,20 +152,11 @@ class MediatorExecutor:
         start = self.clock.now_ms
         if self.options.parallel_submits:
             self._prefetch_submits(plan)
-        time_first: float | None = None
-        rows: list[Row] = []
-        for row in self._run(plan):
-            if time_first is None:
-                time_first = self.clock.elapsed_since(start)
-            rows.append(row)
-        total = self.clock.elapsed_since(start)
+        rows, time_first, total = timed_rows(self._run(plan), self.clock, start)
         return ExecutionResult(
             rows=rows,
             total_time_ms=total,
-            # An empty answer still took the whole execution to discover:
-            # its first-tuple time is the elapsed total, not zero (a zero
-            # would understate TimeFirst below TotalTime).
-            time_first_ms=time_first if time_first is not None else total,
+            time_first_ms=time_first,
             submit_log=list(self._submit_log),
             cache_hits=(
                 self.cache.stats.hits - hits_before if self.cache is not None else 0
@@ -216,9 +203,6 @@ class MediatorExecutor:
 
     # -- operators ---------------------------------------------------------------
 
-    def _eval_charge(self, rows: int = 1) -> None:
-        self.clock.advance(self.clock.profile.cpu_ms_per_eval * rows)
-
     def _run(self, node: PlanNode) -> Iterator[Row]:
         """Dispatch one plan node, optionally wrapped in a compose span.
 
@@ -249,55 +233,16 @@ class MediatorExecutor:
             tracer.end(span, rows=rows)
 
     def _run_node(self, node: PlanNode) -> Iterator[Row]:
-        if isinstance(node, Submit):
-            yield from self._run_submit(node)
-        elif isinstance(node, Scan):
-            raise PlanError(
-                f"scan({node.collection}) reached the mediator executor "
-                "without a submit — plans must route scans through wrappers"
-            )
-        elif isinstance(node, Select):
-            for row in self._run(node.child):
-                self._eval_charge()
-                if node.predicate.evaluate(row):
-                    yield row
-        elif isinstance(node, Project):
-            for row in self._run(node.child):
-                self._eval_charge()
-                yield {
-                    name: AttributeRef(node.source_of(name)).evaluate(row)
-                    for name in node.attributes
-                }
-        elif isinstance(node, Sort):
-            rows = list(self._run(node.child))
-            self._eval_charge(len(rows))
-            keyed = sorted(
-                rows,
-                key=lambda r: tuple(AttributeRef(k).evaluate(r) for k in node.keys),
-                reverse=node.descending,
-            )
-            yield from keyed
-        elif isinstance(node, Distinct):
-            seen: set[tuple] = set()
-            for row in self._run(node.child):
-                self._eval_charge()
-                fingerprint = tuple(sorted(row.items()))
-                if fingerprint not in seen:
-                    seen.add(fingerprint)
-                    yield row
-        elif isinstance(node, Aggregate):
-            yield from self._run_aggregate(node)
-        elif isinstance(node, Join):
-            yield from self._run_join(node)
-        elif isinstance(node, BindJoin):
-            yield from self._run_bindjoin(node)
-        elif isinstance(node, Union):
-            yield from self._run(node.left)
-            yield from self._run(node.right)
-        elif isinstance(node, Scatter):
-            yield from self._run_scatter(node)
-        else:
+        handler = self._handlers.get(type(node))
+        if handler is None:
             raise PlanError(f"mediator cannot execute {node.operator_name!r}")
+        return handler(node)
+
+    def _run_scan(self, node: Scan) -> Iterator[Row]:
+        raise PlanError(
+            f"scan({node.collection}) reached the mediator executor "
+            "without a submit — plans must route scans through wrappers"
+        )
 
     def _register_failure(self, outcome: DispatchOutcome, **probe: Any) -> None:
         """The consumer's half of the fault contract: with no resilience
@@ -373,44 +318,18 @@ class MediatorExecutor:
                 self._submit_log.append((outcome.submit, outcome.result))
             yield from outcome.result.rows
 
-    def _run_aggregate(self, node: Aggregate) -> Iterator[Row]:
-        groups: dict[tuple, list[Row]] = {}
-        for row in self._run(node.child):
-            self._eval_charge()
-            key = tuple(AttributeRef(k).evaluate(row) for k in node.group_by)
-            groups.setdefault(key, []).append(row)
-        if not groups and not node.group_by:
-            groups[()] = []
-        for key, members in groups.items():
-            result: Row = dict(zip(node.group_by, key))
-            for spec in node.aggregates:
-                result[spec.alias] = _aggregate_value(spec, members)
-            yield result
-
-    def _run_join(self, node: Join) -> Iterator[Row]:
-        left_attr = node.left_attribute
-        right_attr = node.right_attribute
-        table: dict[Any, list[Row]] = {}
-        for row in self._run(node.right):
-            self._eval_charge()
-            table.setdefault(right_attr.evaluate(row), []).append(row)
-        for row in self._run(node.left):
-            self._eval_charge()
-            for match in table.get(left_attr.evaluate(row), ()):
-                yield _merge_rows(row, match, node)
-
     def _run_bindjoin(self, node: BindJoin) -> Iterator[Row]:
         """Dependent join: outer first, then keyed probe batches at the
         inner wrapper (one request per batch of distinct join keys)."""
+        advance, cost = eval_charge(self.clock)
         outer_rows = list(self._run(node.outer))
-        keys: list[Any] = []
-        seen: set[Any] = set()
+        outer_key = getter(node.outer_attribute)
+        outer_keys: list[Any] = []
         for row in outer_rows:
-            self._eval_charge()
-            key = node.outer_attribute.evaluate(row)
-            if key is not None and key not in seen:
-                seen.add(key)
-                keys.append(key)
+            advance(cost)
+            outer_keys.append(outer_key(row))
+        # Distinct non-null keys, in first-seen order.
+        keys = [key for key in dict.fromkeys(outer_keys) if key is not None]
         inner_name = node.inner_attribute.name
         probes: list[Submit] = []
         for start in range(0, len(keys), node.batch_size):
@@ -430,6 +349,7 @@ class MediatorExecutor:
         else:
             outcomes = [self.scheduler.dispatch_one(probe) for probe in probes]
         inner_by_key: dict[Any, list[Row]] = {}
+        inner_key = getter(inner_name)
         for outcome in outcomes:
             if outcome.failed:
                 # Probe submits are synthesized at run time, so their
@@ -448,19 +368,9 @@ class MediatorExecutor:
                 # dispatched subquery.
                 self._submit_log.append((outcome.submit, outcome.result))
             for row in outcome.result.rows:
-                inner_by_key.setdefault(
-                    AttributeRef(inner_name).evaluate(row), []
-                ).append(row)
+                inner_by_key.setdefault(inner_key(row), []).append(row)
         outer_label = node.outer.primary_collection() or "outer"
-        for row in outer_rows:
-            self._eval_charge()
-            key = node.outer_attribute.evaluate(row)
+        for row, key in zip(outer_rows, outer_keys):
+            advance(cost)
             for match in inner_by_key.get(key, ()):
-                merged = dict(row)
-                for name, value in match.items():
-                    if name in merged and merged[name] != value:
-                        merged[f"{outer_label}.{name}"] = merged.pop(name)
-                        merged[f"{node.inner_collection}.{name}"] = value
-                    else:
-                        merged[name] = value
-                yield merged
+                yield merge_rows(row, match, outer_label, node.inner_collection)

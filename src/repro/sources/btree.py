@@ -159,13 +159,19 @@ class BPlusTree:
             visits += 1
         return node, visits  # type: ignore[return-value]
 
-    def search(self, key: Any) -> list[Rid]:
-        """Rids of all entries with exactly ``key`` (empty when absent)."""
-        leaf, _ = self._descend(key)
+    def lookup(self, key: Any) -> tuple[list[Rid], int]:
+        """One descent: the rids of all entries with exactly ``key``
+        (empty when absent) and the node visits it took to reach them.
+        The list is the tree's own — callers must not mutate it."""
+        leaf, visits = self._descend(key)
         index = _bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
-            return list(leaf.values[index])
-        return []
+            return leaf.values[index], visits
+        return [], visits
+
+    def search(self, key: Any) -> list[Rid]:
+        """Rids of all entries with exactly ``key`` (empty when absent)."""
+        return self.lookup(key)[0]
 
     def range_search(
         self,
@@ -177,7 +183,8 @@ class BPlusTree:
     ) -> Iterator[tuple[Any, list[Rid]]]:
         """All (key, rids) with ``low <= key <= high`` in key order.
 
-        Either bound may be ``None`` for an open end.
+        Either bound may be ``None`` for an open end.  The rid lists are
+        the tree's own — callers must not mutate them.
         """
         if low is None:
             leaf: _Leaf | None = self._first_leaf
@@ -197,7 +204,7 @@ class BPlusTree:
                         return
                     if not high_inclusive and not (key < high):
                         return
-                yield key, list(leaf.values[index])
+                yield key, leaf.values[index]
                 index += 1
             leaf = leaf.next
             index = 0

@@ -173,10 +173,11 @@ class StorageEngine:
         """Read every page once, touch every object."""
         collection = self.collection(name)
         self.clock.charge_seek()
+        charge_object = self.clock.charge_objects
         for page in collection.file.pages:
             self._read_page(collection, page.page_id)
             for row in page.records:
-                self.clock.charge_objects()
+                charge_object()
                 yield row
 
     def index_scan(
@@ -203,8 +204,9 @@ class StorageEngine:
         if value is not None and (low is not None or high is not None):
             raise StorageError("pass either value or a range, not both")
         if value is not None:
-            self.clock.advance(INDEX_VISIT_MS * tree.visits_for(value))
-            rid_groups: Iterable[list[Rid]] = [tree.search(value)]
+            rids, visits = tree.lookup(value)
+            self.clock.advance(INDEX_VISIT_MS * visits)
+            rid_groups: Iterable[list[Rid]] = [rids]
         else:
             probe = low if low is not None else high
             if probe is not None:
@@ -218,6 +220,7 @@ class StorageEngine:
                     high_inclusive=high_inclusive,
                 )
             )
+        charge_object, fetch = self.clock.charge_objects, collection.file.fetch
         seen_pages: set[int] = set()
         for rids in rid_groups:
             for rid in rids:
@@ -225,8 +228,8 @@ class StorageEngine:
                 if page_id not in seen_pages:
                     seen_pages.add(page_id)
                     self._read_page(collection, page_id)
-                self.clock.charge_objects()
-                yield collection.file.fetch(rid)
+                charge_object()
+                yield fetch(rid)
 
     # -- statistics export (§3.2) ----------------------------------------------------
 

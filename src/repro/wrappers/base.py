@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.algebra.logical import PlanNode, strip_submits
+from repro.algebra.rowops import timed_rows
 from repro.cdl import CompiledCostInfo, compile_source
 from repro.core.formulas import Value
 from repro.core.statistics import CollectionStats
@@ -240,19 +241,11 @@ class StorageWrapper(Wrapper):
         start = clock.now_ms
         pages_before = clock.stats.page_reads
         objects_before = clock.stats.objects_processed
-        time_first: float | None = None
-        rows: list[Row] = []
-        for row in self.executor._run(plan):
-            if time_first is None:
-                time_first = clock.elapsed_since(start)
-            rows.append(row)
-        total = clock.elapsed_since(start)
+        rows, time_first, total = timed_rows(self.executor._run(plan), clock, start)
         return ExecutionResult(
             rows=rows,
             total_time_ms=total,
-            # Discovering emptiness costs the full execution: report the
-            # elapsed total rather than understating TimeFirst as zero.
-            time_first_ms=time_first if time_first is not None else total,
+            time_first_ms=time_first,
             device_stats={
                 "page_reads": clock.stats.page_reads - pages_before,
                 "objects_processed": clock.stats.objects_processed

@@ -19,21 +19,11 @@ from repro.algebra.expressions import (
     AttributeRef,
     Comparison,
     Literal,
+    Or,
     Predicate,
 )
-from repro.algebra.logical import (
-    Aggregate,
-    AggregateSpec,
-    Distinct,
-    Join,
-    PlanNode,
-    Project,
-    Scan,
-    Select,
-    Sort,
-    Submit,
-    Union,
-)
+from repro.algebra.logical import PlanNode, Scan, Select, Submit
+from repro.algebra.rowops import eval_charge, handlers, select_rows
 from repro.errors import CapabilityError, PlanError
 from repro.sources.pages import Row
 from repro.sources.storage_engine import StorageEngine
@@ -44,13 +34,14 @@ class EngineExecutor:
 
     def __init__(self, engine: StorageEngine) -> None:
         self.engine = engine
-
-    @property
-    def clock(self):
-        return self.engine.clock
-
-    def _eval_charge(self, rows: int = 1) -> None:
-        self.clock.advance(self.clock.profile.cpu_ms_per_eval * rows)
+        self.clock = engine.clock
+        #: ``type(node) → handler``: the shared row operators over
+        #: ``self._run(child)``; scans and selections pick an access path.
+        self._handlers = {
+            **handlers(self._run, self.clock),
+            Scan: lambda node: engine.seq_scan(node.collection),
+            Select: self._run_select,
+        }
 
     # -- entry point ---------------------------------------------------------
 
@@ -61,25 +52,10 @@ class EngineExecutor:
     def _run(self, node: PlanNode) -> Iterator[Row]:
         if isinstance(node, Submit):
             raise CapabilityError("wrappers do not execute submit nodes")
-        if isinstance(node, Scan):
-            yield from self.engine.seq_scan(node.collection)
-        elif isinstance(node, Select):
-            yield from self._run_select(node)
-        elif isinstance(node, Project):
-            yield from self._run_project(node)
-        elif isinstance(node, Sort):
-            yield from self._run_sort(node)
-        elif isinstance(node, Distinct):
-            yield from self._run_distinct(node)
-        elif isinstance(node, Aggregate):
-            yield from self._run_aggregate(node)
-        elif isinstance(node, Join):
-            yield from self._run_join(node)
-        elif isinstance(node, Union):
-            yield from self._run(node.left)
-            yield from self._run(node.right)
-        else:
+        handler = self._handlers.get(type(node))
+        if handler is None:
             raise PlanError(f"cannot execute operator {node.operator_name!r}")
+        return handler(node)
 
     # -- selection with access-path choice ---------------------------------------
 
@@ -191,93 +167,38 @@ class EngineExecutor:
         disjunctive = self._disjunctive_index_access(node)
         if disjunctive is not None:
             collection, attribute, keys, residual = disjunctive
-            for key in keys:
-                for row in self.engine.index_scan(
-                    collection, attribute, value=key
-                ):
-                    if residual:
-                        self._eval_charge()
-                        if not all(p.evaluate(row) for p in residual):
-                            continue
-                    yield row
-            return
+            return self._index_rows(
+                collection, attribute, [{"value": key} for key in keys], residual
+            )
         access = self._index_access(node)
         if access is not None:
             collection, attribute, kwargs, residual = access
-            for row in self.engine.index_scan(collection, attribute, **kwargs):
-                if residual:
-                    self._eval_charge()
-                    if not all(p.evaluate(row) for p in residual):
+            return self._index_rows(collection, attribute, [kwargs], residual)
+        return select_rows(node, self._run(node.child), self.clock)
+
+    def _index_rows(
+        self,
+        collection: str,
+        attribute: str,
+        probes: list[dict[str, Any]],
+        residual: list[Predicate],
+    ) -> Iterator[Row]:
+        """One index scan per probe; the residual conjuncts (if any) are
+        evaluated — and charged — per fetched row."""
+        advance, cost = eval_charge(self.clock)
+        tests = [predicate.evaluate for predicate in residual]
+        for probe in probes:
+            for row in self.engine.index_scan(collection, attribute, **probe):
+                if tests:
+                    advance(cost)
+                    if not all(test(row) for test in tests):
                         continue
                 yield row
-            return
-        for row in self._run(node.child):
-            self._eval_charge()
-            if node.predicate.evaluate(row):
-                yield row
-
-    # -- other operators -----------------------------------------------------------
-
-    def _run_project(self, node: Project) -> Iterator[Row]:
-        wanted = node.attributes
-        for row in self._run(node.child):
-            self._eval_charge()
-            yield {
-                name: AttributeRef(node.source_of(name)).evaluate(row)
-                for name in wanted
-            }
-
-    def _run_sort(self, node: Sort) -> Iterator[Row]:
-        rows = list(self._run(node.child))
-        self._eval_charge(len(rows))
-
-        def key(row: Row) -> tuple:
-            return tuple(AttributeRef(k).evaluate(row) for k in node.keys)
-
-        yield from sorted(rows, key=key, reverse=node.descending)
-
-    def _run_distinct(self, node: Distinct) -> Iterator[Row]:
-        seen: set[tuple] = set()
-        for row in self._run(node.child):
-            self._eval_charge()
-            fingerprint = tuple(sorted(row.items()))
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                yield row
-
-    def _run_aggregate(self, node: Aggregate) -> Iterator[Row]:
-        groups: dict[tuple, list[Row]] = {}
-        for row in self._run(node.child):
-            self._eval_charge()
-            key = tuple(AttributeRef(k).evaluate(row) for k in node.group_by)
-            groups.setdefault(key, []).append(row)
-        if not groups and not node.group_by:
-            groups[()] = []
-        for key, members in groups.items():
-            result: Row = dict(zip(node.group_by, key))
-            for spec in node.aggregates:
-                result[spec.alias] = _aggregate_value(spec, members)
-            yield result
-
-    def _run_join(self, node: Join) -> Iterator[Row]:
-        """Hash join on the equi-join attribute (wrapper-local join)."""
-        left_attr = node.left_attribute
-        right_attr = node.right_attribute
-        table: dict[Any, list[Row]] = {}
-        for row in self._run(node.right):
-            self._eval_charge()
-            table.setdefault(right_attr.evaluate(row), []).append(row)
-        for row in self._run(node.left):
-            self._eval_charge()
-            for match in table.get(left_attr.evaluate(row), ()):
-                yield _merge_rows(row, match, node)
 
 
 def _equality_key_set(predicate: Predicate) -> tuple[str, list[Any]] | None:
     """If ``predicate`` is ``a = v`` or an OR-chain of equalities on one
     attribute, return (attribute, values); otherwise None."""
-    from repro.algebra.expressions import Or
-
     if isinstance(predicate, Or):
         left = _equality_key_set(predicate.left)
         right = _equality_key_set(predicate.right)
@@ -293,39 +214,3 @@ def _equality_key_set(predicate: Predicate) -> tuple[str, list[Any]] | None:
             assert isinstance(literal, Literal)
             return attribute.name, [literal.value]
     return None
-
-
-def _merge_rows(left: Row, right: Row, node: Join) -> Row:
-    """Combine two joined rows, qualifying colliding attribute names."""
-    merged = dict(left)
-    left_cols = node.left.base_collections()
-    right_cols = node.right.base_collections()
-    for key, value in right.items():
-        if key in merged and merged[key] != value:
-            left_name = next(iter(left_cols)) if len(left_cols) == 1 else "left"
-            right_name = next(iter(right_cols)) if len(right_cols) == 1 else "right"
-            merged[f"{left_name}.{key}"] = merged.pop(key)
-            merged[f"{right_name}.{key}"] = value
-        else:
-            merged[key] = value
-    return merged
-
-
-def _aggregate_value(spec: AggregateSpec, rows: list[Row]) -> Any:
-    if spec.function == "count":
-        if spec.attribute is None:
-            return len(rows)
-        return sum(
-            1 for r in rows if AttributeRef(spec.attribute).evaluate(r) is not None
-        )
-    values = [AttributeRef(spec.attribute).evaluate(r) for r in rows]  # type: ignore[arg-type]
-    values = [v for v in values if v is not None]
-    if not values:
-        return None
-    if spec.function == "sum":
-        return sum(values)
-    if spec.function == "avg":
-        return sum(values) / len(values)
-    if spec.function == "min":
-        return min(values)
-    return max(values)

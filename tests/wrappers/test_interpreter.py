@@ -9,6 +9,7 @@ from repro.errors import CapabilityError
 from repro.sources.clock import CostProfile, SimClock
 from repro.sources.storage_engine import StorageEngine
 from repro.wrappers.interpreter import EngineExecutor
+from tests.spy_clock import SpyClock, build_pin_engine
 
 
 @pytest.fixture
@@ -157,3 +158,60 @@ class TestErrors:
         plan = Submit(Scan("emp"), "w")
         with pytest.raises(CapabilityError):
             executor.execute(plan)
+
+
+#: One plan per operator over the five-employee engine of
+#: ``tests/spy_clock.py`` (10 ms per page, 1 ms per object, 0.5 ms per
+#: operator step) and every clock charge it makes, in order — captured
+#: before the row-operator kernel existed.  ``select-index`` probes the
+#: ``id`` index (0.1 ms per node visited) and charges its residual
+#: conjunct per fetched row.
+PINNED_PLANS = {
+    "select": scan("emp").where_eq("dept", 1),
+    "select-index": scan("emp").where(
+        And(Comparison("<=", attr("id"), lit(3)), eq("dept", 1))
+    ),
+    "project": scan("emp").keep("id"),
+    "sort": scan("emp").order_by("salary"),
+    "distinct": scan("emp").keep("dept").distinct(),
+    "aggregate": scan("emp").aggregate(["dept"], [count_star("n")]),
+    "join": scan("emp").join(scan("dept"), "dept", "dept_id"),
+    "union": scan("dept").union(scan("dept").where_eq("dept_id", 1)),
+}
+PINNED_CHARGES = {
+    "select": [
+        0.0, 10.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 10.0, 1.0, 0.5,
+    ],
+    "select-index": [
+        0.1, 10.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5,
+    ],
+    "project": [
+        0.0, 10.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 10.0, 1.0, 0.5,
+    ],
+    "sort": [
+        0.0, 10.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0, 2.5,
+    ],
+    "distinct": [
+        0.0, 10.0, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 10.0,
+        1.0, 0.5, 0.5,
+    ],
+    "aggregate": [
+        0.0, 10.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 10.0, 1.0, 0.5,
+    ],
+    "join": [
+        0.0, 10.0, 1.0, 0.5, 1.0, 0.5, 0.0, 10.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0,
+        0.5, 10.0, 1.0, 0.5,
+    ],
+    "union": [
+        0.0, 10.0, 1.0, 1.0, 0.0, 10.0, 1.0, 0.5, 1.0, 0.5,
+    ],
+}
+
+
+class TestChargeSequencePins:
+    @pytest.mark.parametrize("operator", PINNED_PLANS)
+    def test_every_charge_in_order(self, operator):
+        clock = SpyClock(CostProfile(io_ms=10.0, cpu_ms_per_object=1.0))
+        executor = EngineExecutor(build_pin_engine(clock))
+        executor.execute(PINNED_PLANS[operator].build())
+        assert clock.take() == PINNED_CHARGES[operator]
