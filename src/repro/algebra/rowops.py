@@ -15,10 +15,22 @@ contract").
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.algebra.expressions import AttributeRef, Row
+from repro.algebra.expressions import (
+    And,
+    AttributeRef,
+    Comparison,
+    Expression,
+    Literal,
+    Not,
+    Or,
+    Predicate,
+    Row,
+)
 from repro.algebra.logical import (
     Aggregate,
     AggregateSpec,
@@ -52,6 +64,68 @@ def getter(ref: AttributeRef | str) -> Callable[[Row], Any]:
         return search(row)
 
     return get
+
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def test(predicate: Predicate) -> Callable[[Row], bool]:
+    """``Predicate.evaluate`` with the tree walk hoisted: one pass over
+    the predicate returns a closure per node.  ``Predicate.evaluate``
+    stays the reference definition — the left operand is read before
+    the right, ``None`` on either side compares ``False``, ``And`` /
+    ``Or`` short-circuit — and any predicate class not known here runs
+    through its own ``evaluate``."""
+    kind = type(predicate)
+    if kind is Comparison:
+        compare = _COMPARE[predicate.op]
+        left, right = predicate.left, predicate.right
+        if type(left) is AttributeRef and type(right) is Literal and right.value is not None:
+            # The shape of every pushed-down filter: one closure, the
+            # getter's name resolution inlined.
+            name, qualified, search = left.name, left.qualified, left.evaluate
+            constant = right.value
+
+            def attribute_passes(row: Row) -> bool:
+                if qualified in row:
+                    value = row[qualified]
+                elif name in row:
+                    value = row[name]
+                else:
+                    value = search(row)
+                return value is not None and compare(value, constant)
+
+            return attribute_passes
+        left_of, right_of = _scalar(left), _scalar(right)
+
+        def passes(row: Row) -> bool:
+            left, right = left_of(row), right_of(row)
+            return left is not None and right is not None and compare(left, right)
+
+        return passes
+    if kind is And:
+        first, second = test(predicate.left), test(predicate.right)
+        return lambda row: first(row) and second(row)
+    if kind is Or:
+        first, second = test(predicate.left), test(predicate.right)
+        return lambda row: first(row) or second(row)
+    if kind is Not:
+        operand = test(predicate.operand)
+        return lambda row: not operand(row)
+    return predicate.evaluate
+
+
+def _scalar(expression: Expression) -> Callable[[Row], Any]:
+    if type(expression) is AttributeRef:
+        return getter(expression)
+    return expression.evaluate
 
 
 def row_key(attributes: Iterable[AttributeRef | str]) -> Callable[[Row], tuple]:
@@ -94,21 +168,55 @@ def merge_rows(left: Row, right: Row, left_label: str, right_label: str) -> Row:
     return merged
 
 
+Fold = tuple[Callable[[], Any], Callable[[Any, Row], Any], Callable[[Any], Any]]
+
+
+def _fold(spec: AggregateSpec) -> Fold:
+    """``(start, step, finish)`` of one aggregate over an attribute
+    (``COUNT(*)`` is the group's row count): ``step(state, row)``
+    folds a row into the running state as it arrives, nulls skipped.
+    Only ``sum`` / ``avg`` keep anything per row — the non-null values,
+    totalled by one ``sum()`` at the end, so a float result is the one
+    ``sum()`` over the materialised group gives."""
+    get = getter(spec.attribute)
+    if spec.function == "count":
+        return int, lambda count, row: count + (get(row) is not None), _identity
+    if spec.function in ("sum", "avg"):
+
+        def collect(values: list, row: Row) -> list:
+            value = get(row)
+            if value is not None:
+                values.append(value)
+            return values
+
+        if spec.function == "sum":
+            return list, collect, lambda values: sum(values) if values else None
+        return list, collect, lambda values: sum(values) / len(values) if values else None
+    # min / max keep the first of equal extremes, as the builtins do.
+    beats = operator.lt if spec.function == "min" else operator.gt
+
+    def extreme(best: Any, row: Row) -> Any:
+        value = get(row)
+        if value is None or (best is not None and not beats(value, best)):
+            return best
+        return value
+
+    return _none, extreme, _identity
+
+
+def _identity(state: Any) -> Any:
+    return state
+
+
+def _none() -> None:
+    return None
+
+
 def aggregate_value(spec: AggregateSpec, rows: list[Row]) -> Any:
     if spec.attribute is None:  # COUNT(*)
         return len(rows)
-    values = [v for v in map(getter(spec.attribute), rows) if v is not None]
-    if spec.function == "count":
-        return len(values)
-    if not values:
-        return None
-    if spec.function == "sum":
-        return sum(values)
-    if spec.function == "avg":
-        return sum(values) / len(values)
-    if spec.function == "min":
-        return min(values)
-    return max(values)
+    start, step, finish = _fold(spec)
+    return finish(reduce(step, rows, start()))
 
 
 # -- operators: (node, rows, clock) -> rows -----------------------------------
@@ -116,7 +224,7 @@ def aggregate_value(spec: AggregateSpec, rows: list[Row]) -> Any:
 
 def select_rows(node: Select, rows: Iterable[Row], clock: SimClock) -> Iterator[Row]:
     advance, cost = eval_charge(clock)
-    passes = node.predicate.evaluate
+    passes = test(node.predicate)
     for row in rows:
         advance(cost)
         if passes(row):
@@ -152,16 +260,39 @@ def distinct_rows(node: Distinct, rows: Iterable[Row], clock: SimClock) -> Itera
 def aggregate_rows(node: Aggregate, rows: Iterable[Row], clock: SimClock) -> Iterator[Row]:
     advance, cost = eval_charge(clock)
     group_of = row_key(node.group_by)
-    groups: dict[tuple, list[Row]] = {}
+    # A group's state: its row count — all COUNT(*) needs, kept inline —
+    # then one running fold per aggregate over an attribute.
+    starts: list[Callable[[], Any]] = [int]
+    steps, outputs = [], []
+    for spec in node.aggregates:
+        if spec.attribute is None:
+            outputs.append((spec.alias, 0, _identity))
+            continue
+        start, step, finish = _fold(spec)
+        outputs.append((spec.alias, len(starts), finish))
+        steps.append((len(starts), step))
+        starts.append(start)
+    groups: dict[tuple, list] = {}
+
+    def new_group(key: tuple) -> list:
+        groups[key] = states = [start() for start in starts]
+        return states
+
     for row in rows:
         advance(cost)
-        groups.setdefault(group_of(row), []).append(row)
+        key = group_of(row)
+        states = groups.get(key)
+        if states is None:
+            states = new_group(key)
+        states[0] += 1
+        for slot, step in steps:
+            states[slot] = step(states[slot], row)
     if not groups and not node.group_by:
-        groups[()] = []
-    for key, members in groups.items():
+        new_group(())
+    for key, states in groups.items():
         result = dict(zip(node.group_by, key))
-        for spec in node.aggregates:
-            result[spec.alias] = aggregate_value(spec, members)
+        for alias, slot, finish in outputs:
+            result[alias] = finish(states[slot])
         yield result
 
 

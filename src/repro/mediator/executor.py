@@ -20,7 +20,8 @@ wrapper subqueries within and across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterator
+from itertools import chain
+from typing import Any, Iterator, Sequence
 
 from repro.algebra.expressions import Or, conjunction, eq
 from repro.algebra.logical import BindJoin, PlanNode, Scan, Scatter, Select, Submit
@@ -264,6 +265,14 @@ class MediatorExecutor:
         self._failures.append(failure)
 
     def _run_submit(self, node: Submit) -> Iterator[Row]:
+        """The subanswer's own rows, dispatched at the *first pull*: a
+        join drains its right input before it touches its left, so an
+        eager dispatch here would reorder the submits (and every clock
+        value after them).  The one-element ``map`` keeps that laziness
+        without a generator frame between the rows and their consumer."""
+        return chain.from_iterable(map(self._submit_rows, (node,)))
+
+    def _submit_rows(self, node: Submit) -> Sequence[Row]:
         outcome = self._prefetched.pop(node.node_id, None)
         if outcome is None:
             outcome = self.scheduler.dispatch_one(node)
@@ -271,7 +280,7 @@ class MediatorExecutor:
             self._register_failure(outcome)
             # Partial mode: the missing subtree contributes zero rows —
             # union branches above drop out, joins above prune to empty.
-            return
+            return ()
         if not outcome.cached:
             # Logged at consumption (not dispatch) so the log order matches
             # the sequential executor's; cache hits are excluded — history
@@ -280,7 +289,7 @@ class MediatorExecutor:
             # or won hedge rebinds it to the replica that actually served
             # the rows, while sharing the planned child subtree.
             self._submit_log.append((outcome.submit, outcome.result))
-        yield from outcome.result.rows
+        return outcome.result.rows
 
     def _run_scatter(self, node: Scatter) -> Iterator[Row]:
         """Fan the shard submits out as one wave, gather in branch order.

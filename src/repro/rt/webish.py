@@ -21,8 +21,8 @@ from __future__ import annotations
 import time
 from typing import Mapping, Sequence
 
-from repro.algebra.expressions import AttributeRef
 from repro.algebra.logical import PlanNode, Project, Scan, Select, strip_submits
+from repro.algebra.rowops import getter, test
 from repro.core.statistics import AttributeStats, CollectionStats
 from repro.errors import PlanError
 from repro.sources.pages import Row
@@ -156,17 +156,11 @@ class WebLatencyWrapper(Wrapper):
                 )
             return [dict(row) for row in self.collections[node.collection]]
         if isinstance(node, Select):
-            return [
-                row
-                for row in self._evaluate(node.child)
-                if node.predicate.evaluate(row)
-            ]
+            return list(filter(test(node.predicate), self._evaluate(node.child)))
         if isinstance(node, Project):
+            columns = [(name, getter(node.source_of(name))) for name in node.attributes]
             return [
-                {
-                    name: AttributeRef(node.source_of(name)).evaluate(row)
-                    for name in node.attributes
-                }
+                {name: get(row) for name, get in columns}
                 for row in self._evaluate(node.child)
             ]
         raise PlanError(

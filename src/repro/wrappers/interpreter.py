@@ -21,9 +21,10 @@ from repro.algebra.expressions import (
     Literal,
     Or,
     Predicate,
+    conjunction,
 )
 from repro.algebra.logical import PlanNode, Scan, Select, Submit
-from repro.algebra.rowops import eval_charge, handlers, select_rows
+from repro.algebra.rowops import eval_charge, handlers, select_rows, test
 from repro.errors import CapabilityError, PlanError
 from repro.sources.pages import Row
 from repro.sources.storage_engine import StorageEngine
@@ -186,12 +187,12 @@ class EngineExecutor:
         """One index scan per probe; the residual conjuncts (if any) are
         evaluated — and charged — per fetched row."""
         advance, cost = eval_charge(self.clock)
-        tests = [predicate.evaluate for predicate in residual]
+        passes = test(conjunction(residual)) if residual else None
         for probe in probes:
             for row in self.engine.index_scan(collection, attribute, **probe):
-                if tests:
+                if passes is not None:
                     advance(cost)
-                    if not all(test(row) for test in tests):
+                    if not passes(row):
                         continue
                 yield row
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.builders import PlanBuilder, count_star, scan
-from repro.algebra.expressions import AttributeRef, attr
+from repro.algebra.expressions import And, AttributeRef, Comparison, attr, eq, lit
 from repro.algebra.logical import BindJoin, PlanNode, Scan
 from repro.errors import PlanError
 from repro.mediator.backend import SimBackend
@@ -264,3 +264,46 @@ class TestPerNodeWorkIsBoundOnce:
             return dict(counts)
 
         assert work_at(10) == work_at(1000)
+
+    def test_a_select_never_walks_its_predicate_tree_per_row(self, monkeypatch):
+        """The predicate is compiled once by ``rowops.test``: executing a
+        select calls ``Comparison.evaluate`` zero times, at any size."""
+        calls = []
+        evaluate = Comparison.evaluate
+        monkeypatch.setattr(
+            Comparison, "evaluate", lambda self, row: calls.append(row) or evaluate(self, row)
+        )
+        predicate = And(Comparison("<", attr("id"), lit(7)), eq(attr("dept", "emp"), 1))
+        for rows in (10, 1000):
+            engine = StorageEngine(SimClock(CostProfile()))
+            engine.create_collection(
+                "emp", [{"id": i, "dept": i % 2} for i in range(rows)], object_size=40
+            )
+            mediator, _clock = spied_mediator(engine)
+            result = mediator.executor.execute(submitted("emp").where(predicate).build())
+            assert [row["id"] for row in result.rows] == [1, 3, 5]
+        assert calls == []
+
+
+class TestSubmitIsDispatchedAtTheFirstPull:
+    def test_join_dispatches_its_right_input_first(self):
+        """``join(submit emp, submit dept)`` builds on its right input
+        before it pulls from its left: ``dept`` is dispatched (and
+        logged) first, and every charge keeps its place — the ``join``
+        literal of ``PINNED_CHARGES``, captured before the kernel."""
+        mediator, clock = spied_mediator(build_pin_engine())
+        plan = PINNED_PLANS["join"].build()
+        stream = mediator.executor._run(plan)
+        assert clock.take() == []  # building the pipeline dispatches nothing
+        rows = list(stream)
+        assert len(rows) == 5
+        assert clock.take() == PINNED_CHARGES["join"]
+        result = mediator.executor.execute(plan)
+        assert [submit.child.collection for submit, _ in result.submit_log] == ["dept", "emp"]
+        assert result.rows == rows
+
+    def test_an_unpulled_submit_is_never_dispatched(self):
+        mediator, clock = spied_mediator(build_pin_engine())
+        mediator.executor._run(submitted("emp").build())
+        assert clock.take() == []
+        assert mediator.executor._submit_log == []

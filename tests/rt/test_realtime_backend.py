@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from repro.algebra.expressions import Comparison, attr, lit
-from repro.algebra.logical import Scan, Select
+from repro.algebra.expressions import And, AttributeRef, Comparison, attr, lit
+from repro.algebra.logical import Project, Scan, Select
 from repro.bench.realtime import run_realtime, spearman_rank_correlation
 from repro.errors import SourceFaultError, SourceUnavailableError
 from repro.mediator.executor import ExecutorOptions
@@ -195,6 +195,44 @@ class TestWebLatencyWrapper:
             Select(Scan("C"), Comparison("<", attr("k"), lit(3.0)))
         )
         assert sorted(row["k"] for row in result.rows) == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("collection", [None, "C"], ids=["bare", "qualified"])
+    def test_select_and_project_read_the_row_kernel(self, monkeypatch, collection):
+        """The third row interpreter: a pushed-down select → project gives
+        the rows ``Predicate.evaluate`` / ``AttributeRef.evaluate`` define,
+        with predicate and columns bound once per node — the
+        ``AttributeRef`` constructions and ``Comparison.evaluate`` calls of
+        ``execute()`` do not grow with the rows."""
+        predicate = And(
+            Comparison(">=", attr("k", collection), lit(2)),
+            Comparison("!=", attr("tag", collection), lit("t0")),
+        )
+        plan = Project(Select(Scan("C"), predicate), ("key", "tag"), {"key": "k"})
+        counts = {"ref": 0, "evaluate": 0}
+        init, evaluate = AttributeRef.__init__, Comparison.evaluate
+
+        def counted_init(ref, *args, **kwargs):
+            counts["ref"] += 1
+            init(ref, *args, **kwargs)
+
+        def counted_evaluate(comparison, row):
+            counts["evaluate"] += 1
+            return evaluate(comparison, row)
+
+        def work_at(size: int) -> dict[str, int]:
+            rows = [{"k": i, "tag": f"t{i % 3}", "pad": None} for i in range(size)]
+            web = WebLatencyWrapper("web", {"C": rows}, latency_ms=0.0, per_row_ms=0.0)
+            expected = [
+                {"key": row["k"], "tag": row["tag"]} for row in rows if predicate.evaluate(row)
+            ]
+            counts.update(ref=0, evaluate=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(AttributeRef, "__init__", counted_init)
+                patch.setattr(Comparison, "evaluate", counted_evaluate)
+                assert web.execute(plan).rows == expected
+            return dict(counts)
+
+        assert work_at(10) == work_at(1000) == {"ref": 2, "evaluate": 0}
 
 
 class TestRealFederationEndToEnd:

@@ -215,3 +215,32 @@ class TestChargeSequencePins:
         executor = EngineExecutor(build_pin_engine(clock))
         executor.execute(PINNED_PLANS[operator].build())
         assert clock.take() == PINNED_CHARGES[operator]
+
+
+class TestPerNodeWorkIsBoundOnce:
+    @pytest.mark.parametrize("indexed", [[], ["id"]], ids=["seq scan", "index residual"])
+    def test_a_select_never_walks_its_predicate_tree_per_row(self, monkeypatch, indexed):
+        """The twin of the mediator-side test: the select over a
+        sequential scan and the residual conjuncts of an index scan both
+        run the predicate compiled once by ``rowops.test`` — zero
+        ``Comparison.evaluate`` calls at 10 and at 1 000 rows — and the
+        step is still charged once per row read."""
+        calls = []
+        evaluate = Comparison.evaluate
+        monkeypatch.setattr(
+            Comparison, "evaluate", lambda self, row: calls.append(row) or evaluate(self, row)
+        )
+        predicate = And(Comparison(">=", attr("id"), lit(0)), eq(attr("dept", "emp"), 1))
+        for rows in (10, 1000):
+            clock = SpyClock(CostProfile(io_ms=0.0, cpu_ms_per_object=1.0))
+            engine = StorageEngine(clock)
+            engine.create_collection(
+                "emp",
+                [{"id": i, "dept": i % 2} for i in range(rows)],
+                object_size=40,
+                indexed_attributes=indexed,
+            )
+            result = EngineExecutor(engine).execute(scan("emp").where(predicate).build())
+            assert len(result) == rows // 2
+            assert clock.take().count(0.5) == rows
+        assert calls == []
