@@ -45,9 +45,7 @@ def main() -> None:
           f"({config.num_atomic_parts} AtomicParts)...")
     result = run_fig12(config=config)
     print()
-    print(result.table())
-    print()
-    print(result.error_table())
+    print(result.report())
     print()
     print(ascii_chart(result))
 

@@ -28,17 +28,14 @@ class AccuracyReport:
             (r.estimated_ms, r.actual_ms) for r in self.experiment.for_model(model)
         )
 
-    def table(self) -> str:
-        return format_table(
+    def report(self) -> str:
+        summary = format_table(
             ERROR_HEADERS,
             [self.summary(model).row(model) for model in MODELS],
             title="E3 — estimated vs actual TotalTime of chosen plans",
         )
-
-    def detail_table(self) -> str:
-        labels = [r.label for r in self.experiment.for_model(MODELS[0])]
         rows = []
-        for label in labels:
+        for label in self.experiment.labels():
             row: list[object] = [label]
             for model in MODELS:
                 record = self.experiment.record_for(model, label)
@@ -48,19 +45,26 @@ class AccuracyReport:
         headers = ["query"]
         for model in MODELS:
             headers += [f"{model} est", f"{model} act"]
-        return format_table(headers, rows, title="E3 — per-query detail (ms)")
+        detail = format_table(headers, rows, title="E3 — per-query detail (ms)")
+        return f"{summary}\n\n{detail}"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E3",
+            "summary": {
+                model: self.summary(model).to_json_dict() for model in MODELS
+            },
+            "records": [
+                {
+                    "model": r.model,
+                    "query": r.label,
+                    "estimated_ms": r.estimated_ms,
+                    "actual_ms": r.actual_ms,
+                }
+                for r in self.experiment.records
+            ],
+        }
 
 
 def run_accuracy(**kwargs) -> AccuracyReport:
     return AccuracyReport(run_federation_experiment(**kwargs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    report = run_accuracy()
-    print(report.table())
-    print()
-    print(report.detail_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

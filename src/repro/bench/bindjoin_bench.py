@@ -20,7 +20,7 @@ measured times, both estimates, and which plan the optimizer picked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.algebra.builders import scan
 from repro.algebra.expressions import attr
@@ -123,20 +123,8 @@ class BindJoinPoint:
 class BindJoinResult:
     points: list[BindJoinPoint] = field(default_factory=list)
 
-    def table(self) -> str:
-        rows = [
-            [
-                p.outer_keys,
-                p.classic_measured_ms,
-                p.bind_measured_ms,
-                p.classic_estimated_ms,
-                p.bind_estimated_ms,
-                p.optimizer_choice,
-                "yes" if p.choice_correct else "NO",
-            ]
-            for p in self.points
-        ]
-        return format_table(
+    def report(self) -> str:
+        table = format_table(
             (
                 "outer keys",
                 "classic meas",
@@ -146,9 +134,31 @@ class BindJoinResult:
                 "optimizer picked",
                 "correct",
             ),
-            rows,
+            [
+                [
+                    p.outer_keys,
+                    p.classic_measured_ms,
+                    p.bind_measured_ms,
+                    p.classic_estimated_ms,
+                    p.bind_estimated_ms,
+                    p.optimizer_choice,
+                    "yes" if p.choice_correct else "NO",
+                ]
+                for p in self.points
+            ],
             title="E7 — bind join vs classic join (ms)",
         )
+        return (
+            f"{table}\n\nmax bind-join speedup: {self.max_speedup():.0f}x; "
+            f"optimizer correct everywhere: {self.all_choices_correct}"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E7",
+            "all_choices_correct": self.all_choices_correct,
+            "points": [asdict(p) for p in self.points],
+        }
 
     @property
     def all_choices_correct(self) -> bool:
@@ -192,14 +202,3 @@ def run_bindjoin_experiment(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_bindjoin_experiment()
-    print(result.table())
-    print(f"\nmax bind-join speedup: {result.max_speedup():.0f}x; "
-          f"optimizer correct everywhere: {result.all_choices_correct}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -37,6 +37,7 @@ profiles (``latency_probability=1.0``), sequential service scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import median
 
 from repro.bench.harness import build_federation, format_table
 from repro.mediator.calibration import CalibrationPolicy
@@ -67,16 +68,6 @@ E13_QUERIES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _median(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2
-
-
 @dataclass
 class PhaseStats:
     """q-error summary of one phase of one arm."""
@@ -94,7 +85,7 @@ class PhaseStats:
         return cls(
             phase=phase,
             queries=len(qs),
-            median_q=_median(qs),
+            median_q=median(qs),
             mean_q=sum(qs) / len(qs),
             max_q=max(qs),
         )
@@ -148,7 +139,7 @@ class CalibrationBenchResult:
         """The ISSUE acceptance bar: calibrated ≤ 0.5× control."""
         return self.recovered_ratio <= 0.5
 
-    def table(self) -> str:
+    def report(self) -> str:
         rows = []
         for arm in (self.control, self.calibrated):
             for stats in arm.phases:
@@ -162,7 +153,7 @@ class CalibrationBenchResult:
                         round(stats.max_q, 2),
                     ]
                 )
-        return format_table(
+        table = format_table(
             ("arm", "phase", "queries", "median q", "mean q", "max q"),
             rows,
             title=(
@@ -170,10 +161,8 @@ class CalibrationBenchResult:
                 "faster mid-run, recovery without re-registration"
             ),
         )
-
-    def summary(self) -> str:
         return (
-            f"recovered-tail median q: calibrated "
+            f"{table}\n\nrecovered-tail median q: calibrated "
             f"{self.calibrated.phase('recovered').median_q:.2f} vs control "
             f"{self.control.phase('recovered').median_q:.2f} "
             f"(ratio {self.recovered_ratio:.3f}, bar 0.5 -> "
@@ -295,16 +284,18 @@ def _run_arm(
     return result
 
 
-def run_calibration_experiment(fast: bool = False) -> CalibrationBenchResult:
+def run_calibration_experiment(
+    cadence: int = 8, shifted_windows: int = 10
+) -> CalibrationBenchResult:
     """Run both arms over the identical deterministic schedule.
 
-    The baseline is long enough (~7 fit windows) for the calibrated arm
-    to absorb the generic model's static bias before the shift lands;
-    the shifted phase leaves ~8 further windows to track the upgrade.
+    The baseline is long enough (7 fit windows of ``cadence`` queries)
+    for the calibrated arm to absorb the generic model's static bias
+    before the shift lands; the shifted phase leaves ``shifted_windows``
+    further windows to track the upgrade.
     """
-    cadence = 6 if fast else 8
     baseline_queries = 7 * cadence
-    shifted_queries = (8 if fast else 10) * cadence
+    shifted_queries = shifted_windows * cadence
     tail_queries = 2 * cadence
     kwargs = dict(
         cadence=cadence,
@@ -323,30 +314,3 @@ def run_calibration_experiment(fast: bool = False) -> CalibrationBenchResult:
         shifted_queries=shifted_queries,
         tail_queries=tail_queries,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    import sys
-
-    experiment = run_calibration_experiment(fast="--fast" in sys.argv)
-    print(experiment.table())
-    print(f"\n{experiment.summary()}")
-    from repro.bench.__main__ import parse_out_dir, write_json
-
-    out_dir = parse_out_dir(sys.argv)
-    write_json(out_dir, "BENCH_E13.json", experiment.to_json_dict())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
-__all__ = [
-    "ArmResult",
-    "CalibrationBenchResult",
-    "E13_QUERIES",
-    "PhaseStats",
-    "SHIFT_SPEEDUP",
-    "SHIFT_WRAPPER",
-    "run_calibration_experiment",
-]

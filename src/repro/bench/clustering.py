@@ -16,7 +16,7 @@ selectivity then differs by an order of magnitude in pages fetched, and:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.logical import Scan, Select
@@ -61,21 +61,8 @@ class ClusteringResult:
     page_count: int
     points: list[ClusteringPoint] = field(default_factory=list)
 
-    def table(self) -> str:
-        rows = [
-            [
-                p.selectivity,
-                p.scattered_pages,
-                p.clustered_pages,
-                p.scattered_measured_ms,
-                p.scattered_rule_ms,
-                p.clustered_measured_ms,
-                p.clustered_rule_ms,
-                p.calibration_ms,
-            ]
-            for p in self.points
-        ]
-        return format_table(
+    def report(self) -> str:
+        table = format_table(
             (
                 "sel",
                 "pages scat",
@@ -86,12 +73,40 @@ class ClusteringResult:
                 "clus rule",
                 "calib (one model)",
             ),
-            rows,
+            [
+                [
+                    p.selectivity,
+                    p.scattered_pages,
+                    p.clustered_pages,
+                    p.scattered_measured_ms,
+                    p.scattered_rule_ms,
+                    p.clustered_measured_ms,
+                    p.clustered_rule_ms,
+                    p.calibration_ms,
+                ]
+                for p in self.points
+            ],
             title=(
                 f"E6 — clustering: index scan on {self.count} objects / "
                 f"{self.page_count} pages (ms)"
             ),
         )
+        return (
+            f"{table}\n\nmean rel err — scattered rule "
+            f"{self.scattered_rule_error.mean_relative_error:.3f}, "
+            f"clustered rule "
+            f"{self.clustered_rule_error.mean_relative_error:.3f}, "
+            f"single calibrated model on clustered "
+            f"{self.calibration_error_on_clustered.mean_relative_error:.3f}"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E6",
+            "count": self.count,
+            "page_count": self.page_count,
+            "points": [asdict(p) for p in self.points],
+        }
 
     @property
     def scattered_rule_error(self) -> ErrorSummary:
@@ -152,21 +167,3 @@ def run_clustering(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_clustering()
-    print(result.table())
-    print()
-    print(
-        "mean relative errors — scattered rule: "
-        f"{result.scattered_rule_error.mean_relative_error:.3f}, "
-        "clustered rule: "
-        f"{result.clustered_rule_error.mean_relative_error:.3f}, "
-        "single calibrated model on clustered store: "
-        f"{result.calibration_error_on_clustered.mean_relative_error:.3f}"
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -209,6 +209,10 @@ class FederationExperiment:
     def for_model(self, model: str) -> list[QueryRecord]:
         return [r for r in self.records if r.model == model]
 
+    def labels(self) -> list[str]:
+        """The workload's query labels, in run order."""
+        return [r.label for r in self.for_model(MODELS[0])]
+
     def total_actual(self, model: str) -> float:
         return sum(r.actual_ms for r in self.for_model(model))
 

@@ -16,18 +16,18 @@ of 4096-byte pages, uniform ``Id``), response time against selectivity in
   through the *actual* blended-cost-model pipeline (CDL compilation,
   registration, rule matching, formula evaluation).
 
-The paper's qualitative claims, checked by the benchmark assertions:
+The paper's qualitative claims, checked by ``tests/bench/test_shape_fig12.py``:
 the measured curve is concave; the Yao estimate tracks it closely; the
 calibrated line diverges above it at high selectivity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.logical import Scan, Select
-from repro.bench.harness import ErrorSummary, format_table
+from repro.bench.harness import ERROR_HEADERS, ErrorSummary, format_table
 from repro.core.calibration import CalibrationResult, calibrate_wrapper
 from repro.core.estimator import CostEstimator
 from repro.core.generic import CoefficientSet, standard_repository
@@ -62,19 +62,8 @@ class Fig12Result:
     calibration: CalibrationResult
     points: list[Fig12Point] = field(default_factory=list)
 
-    def table(self) -> str:
-        rows = [
-            [
-                p.selectivity,
-                p.selected_objects,
-                p.pages_fetched,
-                p.measured_ms / 1000.0,
-                p.calibration_ms / 1000.0,
-                p.yao_rule_ms / 1000.0,
-            ]
-            for p in self.points
-        ]
-        return format_table(
+    def report(self) -> str:
+        series = format_table(
             (
                 "selectivity",
                 "objects",
@@ -83,27 +72,42 @@ class Fig12Result:
                 "Calibration (s)",
                 "Yao formula (s)",
             ),
-            rows,
+            [
+                [
+                    p.selectivity,
+                    p.selected_objects,
+                    p.pages_fetched,
+                    p.measured_ms / 1000.0,
+                    p.calibration_ms / 1000.0,
+                    p.yao_rule_ms / 1000.0,
+                ]
+                for p in self.points
+            ],
             title=(
                 f"Figure 12 — index scan on AtomicParts "
                 f"({self.count_object} objects, {self.page_count} pages)"
             ),
         )
-
-    def error_table(self) -> str:
-        yao = ErrorSummary.from_pairs(
-            (p.yao_rule_ms, p.measured_ms) for p in self.points
-        )
-        calibration = ErrorSummary.from_pairs(
-            (p.calibration_ms, p.measured_ms) for p in self.points
-        )
-        from repro.bench.harness import ERROR_HEADERS
-
-        return format_table(
+        errors = format_table(
             ERROR_HEADERS,
-            [yao.row("yao rule"), calibration.row("calibration")],
+            [
+                self.yao_error.row("yao rule"),
+                self.calibration_error.row("calibration"),
+            ],
             title="Figure 12 — estimation error vs experiment",
         )
+        return f"{series}\n\n{errors}"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E1",
+            "config": self.config.name,
+            "count_object": self.count_object,
+            "page_count": self.page_count,
+            "points": [asdict(p) for p in self.points],
+            "yao_error": self.yao_error.to_json_dict(),
+            "calibration_error": self.calibration_error.to_json_dict(),
+        }
 
     @property
     def yao_error(self) -> ErrorSummary:
@@ -181,14 +185,3 @@ def run_fig12(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_fig12()
-    print(result.table())
-    print()
-    print(result.error_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -2,9 +2,10 @@
 
 Two halves:
 
-* **reporting** — every experiment module produces typed result records;
-  :func:`format_table` turns them into the aligned text tables the
-  ``benchmarks/`` targets print and ``EXPERIMENTS.md`` records;
+* **reporting** — every experiment module produces a typed result with
+  ``report()`` (the text ``python -m repro.bench`` prints and
+  ``EXPERIMENTS.md`` records, built from :func:`format_table`) and
+  ``to_json_dict()`` (the exact simulated values only);
 * **workload construction** — the three-branch federation and its query
   mix used by E8 (concurrent dispatch), E10 (fault tolerance), and E11
   (the serving layer), plus the multi-tenant workload builder E11's
@@ -15,7 +16,8 @@ Two halves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from statistics import median
 from typing import Any, Iterable, Sequence
 
 from repro.mediator.executor import ExecutorOptions
@@ -87,15 +89,10 @@ class ErrorSummary:
         )
         if not errors:
             return cls(0, math.nan, math.nan, math.nan)
-        middle = len(errors) // 2
-        if len(errors) % 2:
-            median = errors[middle]
-        else:
-            median = (errors[middle - 1] + errors[middle]) / 2
         return cls(
             count=len(errors),
             mean_relative_error=sum(errors) / len(errors),
-            median_relative_error=median,
+            median_relative_error=median(errors),
             max_relative_error=errors[-1],
         )
 
@@ -108,8 +105,18 @@ class ErrorSummary:
             round(self.max_relative_error, 3),
         ]
 
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
 
 ERROR_HEADERS = ("model", "queries", "mean rel err", "median rel err", "max rel err")
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile (``q`` in [0, 1]) of a non-empty sample: the
+    element at rank ``floor(q * n)``, clamped to the largest."""
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(len(ordered) * q))]
 
 
 # -- the shared three-branch federation (E8 / E10 / E11) ------------------------
@@ -216,30 +223,25 @@ class TenantWorkload:
 
 
 def build_tenant_workloads(
-    fast: bool = False,
-    quotas: "tuple[float, float] | None" = None,
+    clients: "tuple[int, int]" = (2, 3), queries_per_client: int = 4
 ) -> "list[TenantWorkload]":
     """The standard two-tenant E11 population.
 
     ``analytics`` runs the expensive federated WORKLOAD queries;
-    ``dashboards`` hammers the cheap single-region scans.  ``quotas``
-    overrides the (analytics, dashboards) fair-share weights.
+    ``dashboards`` hammers the cheap single-region scans.  ``clients``
+    is the (analytics, dashboards) closed-loop client count.
     """
-    analytics_quota, dashboards_quota = quotas if quotas is not None else (1.0, 1.0)
-    per_client = 2 if fast else 4
     return [
         TenantWorkload(
             tenant="analytics",
-            quota=analytics_quota,
-            clients=1 if fast else 2,
-            queries_per_client=per_client,
+            clients=clients[0],
+            queries_per_client=queries_per_client,
             queries=list(WORKLOAD),
         ),
         TenantWorkload(
             tenant="dashboards",
-            quota=dashboards_quota,
-            clients=2 if fast else 3,
-            queries_per_client=per_client,
+            clients=clients[1],
+            queries_per_client=queries_per_client,
             queries=list(REGION_QUERIES),
         ),
     ]

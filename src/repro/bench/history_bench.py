@@ -60,15 +60,13 @@ class HistoryResult:
     perturbed_error_adjusted: float = 0.0
     base_error: float = 0.0
 
-    def convergence_table(self) -> str:
-        return format_table(
+    def report(self) -> str:
+        convergence = format_table(
             ("execution #", "relative error before run"),
             self.convergence_rows,
             title="E5a — identical subquery: error converges after one run",
         )
-
-    def generalization_table(self) -> str:
-        return format_table(
+        generalization = format_table(
             ("model", "mean rel err on perturbed constants"),
             [
                 ("base (no history)", self.base_error),
@@ -77,6 +75,19 @@ class HistoryResult:
             ],
             title="E5b — nearby subqueries (constants vary)",
         )
+        return f"{convergence}\n\n{generalization}"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E5",
+            "convergence": [
+                {"execution": execution, "relative_error": error}
+                for execution, error in self.convergence_rows
+            ],
+            "base_error": self.base_error,
+            "perturbed_error_query_scope": self.perturbed_error_query_scope,
+            "perturbed_error_adjusted": self.perturbed_error_adjusted,
+        }
 
 
 def run_convergence(
@@ -151,14 +162,3 @@ def run_history(config: OO7Config = TINY) -> HistoryResult:
         perturbed_error_query_scope=recorded,
         perturbed_error_adjusted=adjusted,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_history()
-    print(result.convergence_table())
-    print()
-    print(result.generalization_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -107,40 +107,64 @@ class OverheadResult:
     conflict_rows: list[tuple[str, int]] = field(default_factory=list)
     cache_rows: list[tuple[str, int]] = field(default_factory=list)
 
-    def dispatch_table(self) -> str:
-        return format_table(
-            ("rules", "indexed (µs/est)", "linear scan (µs/est)"),
-            self.dispatch_rows,
-            title="E4a — rule dispatch: virtual-table index vs linear scan",
+    def report(self) -> str:
+        return "\n\n".join(
+            (
+                format_table(
+                    ("rules", "indexed (µs/est)", "linear scan (µs/est)"),
+                    self.dispatch_rows,
+                    title="E4a — rule dispatch: virtual-table index vs linear scan",
+                ),
+                format_table(
+                    ("pruning", "candidates", "pruned", "formulas evaluated"),
+                    self.pruning_rows,
+                    title="E4b — §4.3.2 branch-and-bound pruning",
+                ),
+                format_table(
+                    ("propagation", "variables computed", "formulas evaluated"),
+                    self.propagation_rows,
+                    title="E4c — §4.2 required-variable propagation",
+                ),
+                format_table(
+                    ("policy", "formulas evaluated"),
+                    self.conflict_rows,
+                    title="E4d — conflict policy",
+                ),
+                format_table(
+                    ("subplan sharing", "formulas evaluated per optimize()"),
+                    self.cache_rows,
+                    title="E4e — cross-candidate subplan sharing "
+                    "(one memo per optimize())",
+                ),
+            )
         )
 
-    def pruning_table(self) -> str:
-        return format_table(
-            ("pruning", "candidates", "pruned", "formulas evaluated"),
-            self.pruning_rows,
-            title="E4b — §4.3.2 branch-and-bound pruning",
-        )
-
-    def propagation_table(self) -> str:
-        return format_table(
-            ("propagation", "variables computed", "formulas evaluated"),
-            self.propagation_rows,
-            title="E4c — §4.2 required-variable propagation",
-        )
-
-    def conflict_table(self) -> str:
-        return format_table(
-            ("policy", "formulas evaluated"),
-            self.conflict_rows,
-            title="E4d — conflict policy",
-        )
-
-    def cache_table(self) -> str:
-        return format_table(
-            ("subplan sharing", "formulas evaluated per optimize()"),
-            self.cache_rows,
-            title="E4e — cross-candidate subplan sharing (one memo per optimize())",
-        )
+    def to_json_dict(self) -> dict:
+        """The work counters; E4a's microseconds are wall-clock readings
+        and stay on stdout."""
+        return {
+            "experiment": "E4",
+            "dispatch_rule_counts": [count for count, *_ in self.dispatch_rows],
+            "pruning": [
+                {
+                    "pruning": label,
+                    "candidates": candidates,
+                    "pruned": pruned,
+                    "formulas_evaluated": formulas,
+                }
+                for label, candidates, pruned, formulas in self.pruning_rows
+            ],
+            "propagation": [
+                {
+                    "propagation": label,
+                    "variables_computed": variables,
+                    "formulas_evaluated": formulas,
+                }
+                for label, variables, formulas in self.propagation_rows
+            ],
+            "conflict_policy": dict(self.conflict_rows),
+            "subplan_sharing": dict(self.cache_rows),
+        }
 
 
 def run_dispatch_scaling(
@@ -265,20 +289,3 @@ def run_overhead(
         conflict_rows=run_conflict_ablation(),
         cache_rows=run_cache_ablation(),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_overhead()
-    print(result.dispatch_table())
-    print()
-    print(result.pruning_table())
-    print()
-    print(result.propagation_table())
-    print()
-    print(result.conflict_table())
-    print()
-    print(result.cache_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

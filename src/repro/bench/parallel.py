@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (  # noqa: F401 (REGIONS re-exported)
-    REGIONS,
-    WORKLOAD,
-    build_federation,
-    format_table,
-)
+from repro.bench.harness import WORKLOAD, build_federation, format_table
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import QueryResult
 from repro.mediator.optimizer import OptimizerOptions
@@ -48,25 +43,31 @@ class ParallelExperiment:
     first_run: QueryResult | None = None
     second_run: QueryResult | None = None
 
-    def dispatch_table(self) -> str:
-        return format_table(
-            ("query", "sequential (ms)", "concurrent (ms)", "saved (ms)", "rows =="),
-            self.dispatch_rows,
-            title="E8a — sequential vs concurrent submit dispatch",
-        )
-
-    def cap_table(self) -> str:
-        return format_table(
-            ("query", "sequential (ms)", "max_concurrency=1 (ms)"),
-            self.cap_rows,
-            title="E8b — a single slot reproduces the sequential clock",
-        )
-
-    def cache_table(self) -> str:
-        return format_table(
-            ("run", "elapsed (ms)", "cache hits", "cache misses"),
-            self.cache_rows,
-            title="E8c — subanswer cache on a repeated query",
+    def report(self) -> str:
+        return "\n\n".join(
+            (
+                format_table(
+                    (
+                        "query",
+                        "sequential (ms)",
+                        "concurrent (ms)",
+                        "saved (ms)",
+                        "rows ==",
+                    ),
+                    self.dispatch_rows,
+                    title="E8a — sequential vs concurrent submit dispatch",
+                ),
+                format_table(
+                    ("query", "sequential (ms)", "max_concurrency=1 (ms)"),
+                    self.cap_rows,
+                    title="E8b — a single slot reproduces the sequential clock",
+                ),
+                format_table(
+                    ("run", "elapsed (ms)", "cache hits", "cache misses"),
+                    self.cache_rows,
+                    title="E8c — subanswer cache on a repeated query",
+                ),
+            )
         )
 
     def to_json_dict(self) -> dict:
@@ -156,18 +157,3 @@ def run_cache_series(experiment: ParallelExperiment | None = None) -> ParallelEx
 
 def run_parallel_experiment() -> ParallelExperiment:
     return run_cache_series(run_dispatch_comparison())
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    experiment = run_parallel_experiment()
-    print(experiment.dispatch_table())
-    print()
-    print(experiment.cap_table())
-    print()
-    print(experiment.cache_table())
-    print()
-    print(experiment.explain_text)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,10 +24,9 @@ from repro.bench.harness import format_table
 class PlanQualityReport:
     experiment: FederationExperiment
 
-    def table(self) -> str:
-        labels = [r.label for r in self.experiment.for_model(MODELS[0])]
+    def report(self) -> str:
         rows = []
-        for label in labels:
+        for label in self.experiment.labels():
             row: list[object] = [label]
             for model in MODELS:
                 row.append(self.experiment.record_for(model, label).actual_ms)
@@ -36,11 +35,34 @@ class PlanQualityReport:
         for model in MODELS:
             total_row.append(self.experiment.total_actual(model))
         rows.append(total_row)
-        return format_table(
+        table = format_table(
             ("query", *(f"{m} (ms)" for m in MODELS)),
             rows,
             title="E2 — actual execution time of the chosen plan",
         )
+        return (
+            f"{table}\n\nblended vs generic total speedup: "
+            f"{self.speedup_blended_vs_generic():.2f}x"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "experiment": "E2",
+            "total_actual_ms": {
+                model: self.experiment.total_actual(model) for model in MODELS
+            },
+            "records": [
+                {
+                    "model": r.model,
+                    "query": r.label,
+                    "actual_ms": r.actual_ms,
+                    "rows": r.rows,
+                    "candidates": r.candidates,
+                    "pruned": r.pruned,
+                }
+                for r in self.experiment.records
+            ],
+        }
 
     def speedup_blended_vs_generic(self) -> float:
         return self.experiment.total_actual("generic") / max(
@@ -50,16 +72,3 @@ class PlanQualityReport:
 
 def run_plan_quality(**kwargs) -> PlanQualityReport:
     return PlanQualityReport(run_federation_experiment(**kwargs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    report = run_plan_quality()
-    print(report.table())
-    print(
-        f"\nblended vs generic total speedup: "
-        f"{report.speedup_blended_vs_generic():.2f}x"
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.harness import format_table
+from repro.bench.harness import format_table, percentile
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
@@ -173,7 +173,7 @@ class ReplicationExperiment:
     p99_improvement: float = 0.0
     rounds: int = 0
 
-    def table(self) -> str:
+    def report(self) -> str:
         availability = format_table(
             ("arm", "queries", "complete", "degraded", "failovers", "replica served"),
             [
@@ -221,14 +221,6 @@ class ReplicationExperiment:
         }
 
 
-def _percentile(values: "list[float]", pct: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(len(ordered) * pct / 100.0)))
-    return ordered[rank]
-
-
 def _run_availability(replicated: bool, rounds: int) -> AvailabilityResult:
     """Run the workload; kill the primary halfway through."""
     mediator, primary, _replica = _build(replicated, FaultProfile())
@@ -266,8 +258,8 @@ def _run_hedge_cell(delay_ms: float | None, rounds: int, seed: int) -> HedgeCell
         for _label, sql in WORKLOAD:
             latencies.append(mediator.query(sql).elapsed_ms)
     cell.queries = len(latencies)
-    cell.p50_ms = _percentile(latencies, 50.0)
-    cell.p99_ms = _percentile(latencies, 99.0)
+    cell.p50_ms = percentile(latencies, 0.50)
+    cell.p99_ms = percentile(latencies, 0.99)
     stats = mediator.executor.scheduler.replica_stats
     cell.hedges_launched = stats.total_hedges_launched
     cell.hedges_won = stats.total_hedges_won
@@ -304,23 +296,3 @@ def run_replication_experiment(
         experiment.best_delay_ms = best.delay_ms
         experiment.p99_improvement = 1.0 - best.p99_ms / control.p99_ms
     return experiment
-
-
-def main(argv: "list[str] | None" = None) -> None:
-    """CLI entry point: ``python -m repro.bench.replication``."""
-    import sys
-
-    from repro.bench.__main__ import parse_out_dir, write_json
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    fast = "--fast" in args
-    experiment = run_replication_experiment(
-        rounds=20 if fast else 40,
-        hedge_delays=(300.0, 1_200.0) if fast else HEDGE_DELAYS,
-    )
-    print(experiment.table())
-    write_json(parse_out_dir(args), "BENCH_E15.json", experiment.to_json_dict())
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    main()

@@ -124,7 +124,7 @@ class FaultExperiment:
     cells: list[FaultCell] = field(default_factory=list)
     rounds: int = 0
 
-    def table(self) -> str:
+    def report(self) -> str:
         rows = [
             (
                 f"{cell.probability:.2f}",
@@ -194,23 +194,3 @@ def run_fault_experiment(
         )
         experiment.cells.append(cell)
     return experiment
-
-
-def main(argv: "list[str] | None" = None) -> None:
-    """CLI entry point: ``python -m repro.bench.resilience``."""
-    import sys
-
-    from repro.bench.__main__ import parse_out_dir, write_json
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    fast = "--fast" in args
-    experiment = run_fault_experiment(
-        probabilities=(0.0, 0.15, 0.5) if fast else PROBABILITIES,
-        rounds=2 if fast else 6,
-    )
-    print(experiment.table())
-    write_json(parse_out_dir(args), "BENCH_E10.json", experiment.to_json_dict())
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    main()

@@ -27,10 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.harness import (
+    REGION_QUERIES,
+    WORKLOAD,
     TenantWorkload,
     build_federation,
     build_tenant_workloads,
     format_table,
+    percentile,
 )
 from repro.errors import AdmissionError
 from repro.mediator.executor import ExecutorOptions
@@ -42,15 +45,6 @@ from repro.service import (
 
 #: Concurrency ladder of the throughput scenario.
 CONCURRENCY_LADDER: tuple[int, ...] = (1, 2, 4, 8)
-
-
-def _percentile(values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile (matches ``repro.obs.metrics.Summary``)."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    index = max(0, -int(-(q * len(ordered)) // 1) - 1)
-    return ordered[index]
 
 
 @dataclass
@@ -192,7 +186,7 @@ def run_closed_loop(
                 mean_latency_ms=(
                     round(sum(latencies) / len(latencies), 1) if done else 0.0
                 ),
-                p95_latency_ms=round(_percentile(latencies, 0.95), 1)
+                p95_latency_ms=round(percentile(latencies, 0.95), 1)
                 if done
                 else 0.0,
                 mean_queue_wait_ms=(
@@ -212,8 +206,10 @@ class ServingExperiment:
     fairness_quotas: "dict[str, float]" = field(default_factory=dict)
     backpressure_run: ClosedLoopResult | None = None
 
-    def throughput_table(self) -> str:
-        return format_table(
+    def report(self) -> str:
+        assert self.fairness_run is not None
+        assert self.backpressure_run is not None
+        throughput = format_table(
             (
                 "max concurrent",
                 "makespan (ms)",
@@ -235,10 +231,7 @@ class ServingExperiment:
             ],
             title="E11a — closed-loop throughput vs admission concurrency",
         )
-
-    def fairness_table(self) -> str:
-        assert self.fairness_run is not None
-        return format_table(
+        fairness = format_table(
             (
                 "tenant",
                 "quota",
@@ -258,9 +251,6 @@ class ServingExperiment:
             ],
             title="E11b — fair share under 3:1 quotas (concurrency 1)",
         )
-
-    def backpressure_table(self) -> str:
-        assert self.backpressure_run is not None
         run = self.backpressure_run
         rows = [
             ("submitted", run.submitted),
@@ -272,11 +262,12 @@ class ServingExperiment:
             for reason, count in sorted(run.rejected_by_reason.items())
         ]
         rows.append(("max in flight", run.max_in_flight))
-        return format_table(
+        backpressure = format_table(
             ("figure", "value"),
             rows,
             title="E11c — admission backpressure under a tight policy",
         )
+        return f"{throughput}\n\n{fairness}\n\n{backpressure}"
 
     def to_json_dict(self) -> dict:
         """Machine-readable form of every table (``BENCH_E11.json``)."""
@@ -293,13 +284,23 @@ class ServingExperiment:
         }
 
 
-def run_serving_experiment(fast: bool = False) -> ServingExperiment:
+def run_serving_experiment(
+    ladder: "tuple[int, ...]" = CONCURRENCY_LADDER,
+    throughput_clients: "tuple[int, int]" = (2, 3),
+    throughput_queries: int = 4,
+    burst_clients: int = 5,
+    burst_queries: int = 3,
+) -> ServingExperiment:
+    """All three scenarios.  ``throughput_clients`` is the (analytics,
+    dashboards) client count of the ladder runs, each client submitting
+    ``throughput_queries``; the fairness and backpressure scenarios run
+    ``burst_clients`` clients per contended tenant, ``burst_queries``
+    each."""
     experiment = ServingExperiment()
-    ladder = (1, 2, 4) if fast else CONCURRENCY_LADDER
     for concurrency in ladder:
         experiment.throughput_runs.append(
             run_closed_loop(
-                build_tenant_workloads(fast=fast),
+                build_tenant_workloads(throughput_clients, throughput_queries),
                 ServiceOptions(max_concurrent_queries=concurrency),
                 label=str(concurrency),
             )
@@ -308,30 +309,18 @@ def run_serving_experiment(fast: bool = False) -> ServingExperiment:
     # every start is a pure scheduling decision.  Enough clients per
     # tenant that the backlog (not the client count) limits throughput,
     # so the quota ratio actually shows in the waits.
-    quotas = (1.0, 3.0)
-    scan_mix = list(build_tenant_workloads()[1].queries)
-    fairness_workloads = [
-        TenantWorkload(
-            tenant="analytics",
-            quota=quotas[0],
-            clients=3 if fast else 5,
-            queries_per_client=2 if fast else 3,
-            queries=scan_mix,
-        ),
-        TenantWorkload(
-            tenant="dashboards",
-            quota=quotas[1],
-            clients=3 if fast else 5,
-            queries_per_client=2 if fast else 3,
-            queries=scan_mix,
-        ),
-    ]
-    experiment.fairness_quotas = {
-        "analytics": quotas[0],
-        "dashboards": quotas[1],
-    }
+    experiment.fairness_quotas = {"analytics": 1.0, "dashboards": 3.0}
     experiment.fairness_run = run_closed_loop(
-        fairness_workloads,
+        [
+            TenantWorkload(
+                tenant=tenant,
+                quota=quota,
+                clients=burst_clients,
+                queries_per_client=burst_queries,
+                queries=list(REGION_QUERIES),
+            )
+            for tenant, quota in experiment.fairness_quotas.items()
+        ],
         ServiceOptions(max_concurrent_queries=1),
         label="fairness",
     )
@@ -342,17 +331,15 @@ def run_serving_experiment(fast: bool = False) -> ServingExperiment:
     backpressure_workloads = [
         TenantWorkload(
             tenant="analytics",
-            quota=1.0,
             clients=1,
-            queries_per_client=2 if fast else 3,
-            queries=list(build_tenant_workloads()[0].queries),
+            queries_per_client=burst_queries,
+            queries=list(WORKLOAD),
         ),
         TenantWorkload(
             tenant="dashboards",
-            quota=1.0,
-            clients=3 if fast else 5,
-            queries_per_client=2 if fast else 3,
-            queries=list(build_tenant_workloads()[1].queries),
+            clients=burst_clients,
+            queries_per_client=burst_queries,
+            queries=list(REGION_QUERIES),
         ),
     ]
     experiment.backpressure_run = run_closed_loop(
@@ -367,22 +354,3 @@ def run_serving_experiment(fast: bool = False) -> ServingExperiment:
         },
     )
     return experiment
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    import sys
-
-    experiment = run_serving_experiment(fast="--fast" in sys.argv)
-    print(experiment.throughput_table())
-    print()
-    print(experiment.fairness_table())
-    print()
-    print(experiment.backpressure_table())
-    from repro.bench.__main__ import parse_out_dir, write_json
-
-    out_dir = parse_out_dir(sys.argv)
-    write_json(out_dir, "BENCH_E11.json", experiment.to_json_dict())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

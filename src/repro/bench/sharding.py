@@ -8,7 +8,7 @@ Snippets 2–3 cost shape end to end: both the estimated and the simulated
 TotalTime drop as alignment rises, and the per-query branch count falls
 from S toward 1.
 
-Run: ``python -m repro.bench.sharding [--fast] [--out-dir DIR]`` →
+Run: ``python -m repro.bench --only E12 [--fast] [--out-dir DIR]`` →
 ``BENCH_E12.json``.
 """
 
@@ -25,13 +25,8 @@ from repro.wrappers import RelationalWrapper
 
 #: Rows in the logical collection (split across the shards).
 ROW_COUNT = 2_000
-ROW_COUNT_FAST = 400
-
 SHARD_COUNTS = (1, 2, 4, 8)
-SHARD_COUNTS_FAST = (1, 4)
-
 ALIGNMENTS = (0.0, 0.25, 0.5, 0.75, 1.0)
-ALIGNMENTS_FAST = (0.0, 0.5, 1.0)
 
 #: Queries per cell; keys are deterministic so every cell sees the same
 #: aligned lookups.
@@ -119,8 +114,8 @@ class ShardingExperiment:
     #: TotalTime strictly drop as alignment rises.
     pruning_wins: bool
 
-    def table(self) -> str:
-        return format_table(
+    def report(self) -> str:
+        table = format_table(
             (
                 "shards",
                 "alignment",
@@ -144,6 +139,10 @@ class ShardingExperiment:
                 f"{QUERIES_PER_CELL} queries)"
             ),
         )
+        return (
+            f"{table}\n\npruning beats full scatter everywhere: "
+            f"{self.pruning_wins}"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,10 +157,11 @@ def _monotone_decreasing(values: list[float]) -> bool:
     return all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
-def run_sharding_experiment(fast: bool = False) -> ShardingExperiment:
-    rows = ROW_COUNT_FAST if fast else ROW_COUNT
-    shard_counts = SHARD_COUNTS_FAST if fast else SHARD_COUNTS
-    alignments = ALIGNMENTS_FAST if fast else ALIGNMENTS
+def run_sharding_experiment(
+    rows: int = ROW_COUNT,
+    shard_counts: tuple[int, ...] = SHARD_COUNTS,
+    alignments: tuple[float, ...] = ALIGNMENTS,
+) -> ShardingExperiment:
     cells: list[ShardingCell] = []
     for shards in shard_counts:
         for alignment in alignments:
@@ -203,19 +203,3 @@ def run_sharding_experiment(fast: bool = False) -> ShardingExperiment:
     return ShardingExperiment(
         cells=cells, row_count=rows, pruning_wins=pruning_wins
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    import sys
-
-    experiment = run_sharding_experiment(fast="--fast" in sys.argv)
-    print(experiment.table())
-    print(f"\npruning beats full scatter everywhere: {experiment.pruning_wins}")
-    from repro.bench.__main__ import parse_out_dir, write_json
-
-    out_dir = parse_out_dir(sys.argv)
-    write_json(out_dir, "BENCH_E12.json", experiment.to_json_dict())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,18 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from statistics import median
 
 from repro.bench.harness import WORKLOAD, build_federation, format_table
 from repro.mediator.executor import ExecutorOptions
 from repro.obs import ObservabilityOptions
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 @dataclass
@@ -54,35 +47,36 @@ class TelemetryExperiment:
     #: Number of (scope, source, rule, variable) drift cells populated.
     drift_cells: int = 0
 
-    def overhead_table(self) -> str:
-        return format_table(
+    def report(self) -> str:
+        overhead = format_table(
             ("mode", "wall ms / workload (median)", "simulated ms / workload"),
             self.mode_rows,
             title="E9a — telemetry wall-clock overhead "
             f"({self.repetitions} repetitions)",
         )
-
-    def trace_table(self) -> str:
-        return format_table(
+        traces = format_table(
             ("query", "spans", "submit spans", "wave spans", "drift obs"),
             self.trace_rows,
             title="E9b — what the enabled telemetry records",
         )
+        return (
+            f"{overhead}\n\n{traces}\n\nenabled-telemetry overhead: "
+            f"{self.overhead_enabled_pct:+.1f}% wall-clock; "
+            f"simulated clocks identical: {self.simulated_ms_identical}; "
+            f"metrics cross-check: {self.metrics_consistent}; "
+            f"drift cells: {self.drift_cells}"
+        )
 
     def to_json_dict(self) -> dict:
-        """Machine-readable form of every table (``BENCH_E9.json``)."""
+        """The simulated half; wall-clock medians and the overhead
+        percentage are readings of this host and stay on stdout."""
         return {
             "experiment": "E9",
             "repetitions": self.repetitions,
             "modes": [
-                {
-                    "mode": mode,
-                    "median_wall_ms": wall,
-                    "median_simulated_ms": simulated,
-                }
-                for mode, wall, simulated in self.mode_rows
+                {"mode": mode, "simulated_ms": simulated}
+                for mode, _wall, simulated in self.mode_rows
             ],
-            "overhead_enabled_pct": self.overhead_enabled_pct,
             "simulated_ms_identical": self.simulated_ms_identical,
             "metrics_consistent": self.metrics_consistent,
             "drift_cells": self.drift_cells,
@@ -129,7 +123,7 @@ def run_telemetry_experiment(repetitions: int = 9) -> TelemetryExperiment:
         for _ in range(repetitions):
             wall_s, simulated, _mediator = _run_workload(observability)
             walls.append(wall_s * 1000.0)
-        medians[mode_label] = _median(walls)
+        medians[mode_label] = median(walls)
         simulated_totals[mode_label] = simulated
         experiment.mode_rows.append(
             (mode_label, round(medians[mode_label], 2), round(simulated, 1))
@@ -175,20 +169,3 @@ def run_telemetry_experiment(repetitions: int = 9) -> TelemetryExperiment:
     )
     experiment.drift_cells = len(telemetry.drift)
     return experiment
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    experiment = run_telemetry_experiment()
-    print(experiment.overhead_table())
-    print()
-    print(experiment.trace_table())
-    print(
-        f"\nenabled-telemetry overhead: {experiment.overhead_enabled_pct:+.1f}% "
-        f"wall-clock; simulated clocks identical: "
-        f"{experiment.simulated_ms_identical}; metrics cross-check: "
-        f"{experiment.metrics_consistent}; drift cells: {experiment.drift_cells}"
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,9 +26,8 @@ and historical query caching" (§1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.logical import Scan, Select
@@ -90,32 +89,33 @@ def _numeric_indexed_attribute(stats: CollectionStats) -> str | None:
     return best[1] if best is not None else None
 
 
-def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    """Least-squares fit of ``y = intercept + slope * x`` with a
-    non-negative intercept (startup costs cannot be negative)."""
-    if len(xs) == 1:
-        return 0.0, ys[0] / xs[0] if xs[0] else 0.0
-    matrix = np.column_stack([np.ones(len(xs)), np.asarray(xs, dtype=float)])
-    solution, *_ = np.linalg.lstsq(matrix, np.asarray(ys, dtype=float), rcond=None)
-    intercept, slope = float(solution[0]), float(solution[1])
-    if intercept < 0:
-        # Refit through the origin.
-        xs_arr = np.asarray(xs, dtype=float)
-        ys_arr = np.asarray(ys, dtype=float)
-        denominator = float(xs_arr @ xs_arr)
-        slope = float(xs_arr @ ys_arr) / denominator if denominator else 0.0
-        intercept = 0.0
-    return intercept, max(0.0, slope)
+def fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares fit of ``y = intercept + slope * x``, both
+    coefficients non-negative.  A fit whose intercept comes out negative
+    (startup costs cannot be), or whose ``xs`` have no spread to tell
+    intercept from slope, is refitted through the origin."""
+    count = len(xs)
+    if count == 0:
+        return 0.0, 0.0
+    mean_x, mean_y = math.fsum(xs) / count, math.fsum(ys) / count
+    spread = math.fsum((x - mean_x) ** 2 for x in xs)
+    if spread > 0.0:
+        slope = (
+            math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+            / spread
+        )
+        intercept = mean_y - slope * mean_x
+        if intercept >= 0.0:
+            return intercept, max(0.0, slope)
+    return 0.0, _fit_proportional(xs, ys)
 
 
 def _fit_proportional(xs: list[float], ys: list[float]) -> float:
     """Least-squares fit of ``y = slope * x`` through the origin."""
-    xs_arr = np.asarray(xs, dtype=float)
-    ys_arr = np.asarray(ys, dtype=float)
-    denominator = float(xs_arr @ xs_arr)
+    denominator = math.fsum(x * x for x in xs)
     if denominator == 0:
         return 0.0
-    return max(0.0, float(xs_arr @ ys_arr) / denominator)
+    return max(0.0, math.fsum(x * y for x, y in zip(xs, ys)) / denominator)
 
 
 def calibrate_wrapper(
@@ -197,7 +197,7 @@ def calibrate_wrapper(
         )
 
     coefficients = replace(base) if base is not None else GenericCoefficients()
-    startup, per_object = _fit_line(
+    startup, per_object = fit_line(
         [n for n, _ in scan_points], [t for _, t in scan_points]
     )
     coefficients.ms_scan_startup = startup

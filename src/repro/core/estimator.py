@@ -65,7 +65,6 @@ from repro.errors import (
     NoApplicableRuleError,
     UnknownStatisticError,
 )
-from repro.obs.hotpath import NULL_HOTPATH, HotpathProfiler
 from repro.obs.trace import NULL_TRACER, SpanTracer
 
 
@@ -90,8 +89,10 @@ class EstimatorOptions:
     #: prefers plans whose submits overlap.  Off by default (the §2.3
     #: additive formulas).
     parallel_submits: bool = False
-    #: Concurrency slots assumed by the parallel combinator (None = unbounded);
-    #: should match ``ExecutorOptions.max_concurrency``.
+    #: Concurrency slots assumed by the parallel combinator (None =
+    #: unbounded).  ``Mediator.__init__`` copies this and
+    #: ``parallel_submits`` from ``ExecutorOptions`` unless the caller
+    #: passes explicit ``EstimatorOptions``.
     max_concurrency: int | None = None
     #: Statistics assumed for collections absent from the catalog (§6:
     #: "In case they are not provided, standard values are given").
@@ -600,8 +601,6 @@ class CostEstimator:
         self.last_counters = EstimatorCounters()
         #: Telemetry sink; defaults to the shared no-op tracer.
         self.tracer: SpanTracer = NULL_TRACER
-        #: Wall-clock phase timers; defaults to the shared no-op profiler.
-        self.hotpath: HotpathProfiler = NULL_HOTPATH
         #: Online calibration overlay (duck-typed
         #: :class:`repro.mediator.calibration.CalibrationState`); the
         #: mediator wires the catalog's state in.  None = seed behaviour.
@@ -681,22 +680,6 @@ class CostEstimator:
             ``plan`` and no others; with a memo a node may carry variables
             that another plan sharing it demanded.
         """
-        hotpath = self.hotpath
-        if hotpath.enabled:
-            with hotpath.phase("estimate"):
-                return self._estimate_traced(
-                    plan, default_source, bound_ms, variables, memo
-                )
-        return self._estimate_traced(plan, default_source, bound_ms, variables, memo)
-
-    def _estimate_traced(
-        self,
-        plan: PlanNode,
-        default_source: str | None,
-        bound_ms: float | None,
-        variables: tuple[str, ...],
-        memo: dict[int, NodeEstimate] | None,
-    ) -> PlanEstimate:
         tracer = self.tracer
         if not tracer.enabled:
             return self._estimate(plan, default_source, bound_ms, variables, memo)

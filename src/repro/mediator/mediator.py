@@ -36,7 +36,6 @@ from repro.mediator.queryspec import QuerySpec, UnionSpec
 from repro.mediator.registration import register_wrapper
 from repro.mediator.resilience import PartialAnswer
 from repro.obs import ObservabilityOptions, QueryTelemetry
-from repro.obs.hotpath import NULL_HOTPATH, HotpathProfiler
 from repro.obs.trace import NULL_TRACER, Span, SpanTracer
 from repro.sources.pages import Row
 from repro.wrappers.base import Wrapper
@@ -139,7 +138,6 @@ class Mediator:
         #: observability is off — disabled telemetry costs nothing.
         self.telemetry: QueryTelemetry | None = None
         self._tracer: SpanTracer = NULL_TRACER
-        self._hotpath: HotpathProfiler = NULL_HOTPATH
         if self.observability.enabled:
             self.telemetry = QueryTelemetry(
                 self.observability, clock=self.executor.clock
@@ -150,10 +148,6 @@ class Mediator:
             self.executor.set_tracer(
                 self._tracer, trace_compose=self.observability.trace_compose
             )
-            if self.telemetry.hotpath is not None:
-                self._hotpath = self.telemetry.hotpath
-                self.estimator.hotpath = self._hotpath
-                self.optimizer.hotpath = self._hotpath
 
     # -- registration phase (§2.1) ---------------------------------------------
 
@@ -225,17 +219,14 @@ class Mediator:
         """Parse SQL into the optimizer's query representation."""
         from repro.sqlfe.translator import translate_sql
 
-        with self._hotpath.phase("parse"):
-            with self._tracer.span("parse/translate", kind="phase", sql=sql):
-                return translate_sql(sql, self.catalog)
+        with self._tracer.span("parse/translate", kind="phase", sql=sql):
+            return translate_sql(sql, self.catalog)
 
     def plan(self, query: "str | QuerySpec | UnionSpec") -> OptimizationResult:
         """Optimize a query without executing it."""
         spec = self.parse(query) if isinstance(query, str) else query
         tracer = self._tracer
-        with self._hotpath.phase("optimize"), tracer.span(
-            "optimize", kind="phase"
-        ) as span:
+        with tracer.span("optimize", kind="phase") as span:
             optimized = self.optimizer.optimize(spec)
             if tracer.enabled:
                 span.set(
@@ -251,9 +242,7 @@ class Mediator:
         tracer = self._tracer
         with tracer.span("query", kind="query", sql=sql) as root:
             optimized = self.plan(query)
-            with self._hotpath.phase("execute"), tracer.span(
-                "execute", kind="phase"
-            ) as execute_span:
+            with tracer.span("execute", kind="phase") as execute_span:
                 execution = self.executor.execute(optimized.plan)
                 if tracer.enabled:
                     execute_span.set(
@@ -296,9 +285,7 @@ class Mediator:
         tracer = self._tracer
         with tracer.span("query", kind="query", entry="execute_plan") as root:
             estimate = self.estimator.estimate(plan)
-            with self._hotpath.phase("execute"), tracer.span(
-                "execute", kind="phase"
-            ):
+            with tracer.span("execute", kind="phase"):
                 execution = self.executor.execute(plan)
         if self.history is not None:
             self.history.record_plan(plan, execution, self.catalog)

@@ -58,7 +58,6 @@ from repro.core.estimator import CostEstimator, NodeEstimate, PlanEstimate
 from repro.errors import QueryError
 from repro.mediator.catalog import MediatorCatalog, PartitionScheme
 from repro.mediator.queryspec import QuerySpec, UnionSpec
-from repro.obs.hotpath import NULL_HOTPATH, HotpathProfiler
 from repro.obs.trace import NULL_TRACER, SpanTracer
 
 
@@ -82,14 +81,6 @@ class OptimizerOptions:
     bind_join_batch_size: int = 50
     max_exhaustive_collections: int = 7
     objective: str = "total_time"
-    #: Cost plans for a concurrently-dispatching executor: ``True``/``False``
-    #: forces the estimator's parallel-aware TotalTime combinator on/off
-    #: (see ``EstimatorOptions.parallel_submits``); ``None`` leaves the
-    #: estimator's own setting alone.  With the combinator on, the
-    #: enumerator's candidates whose submits overlap genuinely cost less,
-    #: so the optimizer prefers them.
-    parallel_submits: "bool | None" = None
-    max_concurrency: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.objective not in ("total_time", "time_first"):
@@ -151,16 +142,11 @@ class Optimizer:
         self.options = options or OptimizerOptions()
         #: Telemetry sink; defaults to the shared no-op tracer.
         self.tracer: SpanTracer = NULL_TRACER
-        #: Wall-clock phase timers; defaults to the shared no-op profiler.
-        self.hotpath: HotpathProfiler = NULL_HOTPATH
         #: Scheduler-fed health view: a callable returning the wrapper
         #: names whose circuit breakers are currently not closed.  The
         #: mediator wires in ``scheduler.open_breaker_wrappers``; replica
         #: binding excludes those members at costing time.
         self.health_view: Callable[[], Iterable[str]] | None = None
-        if self.options.parallel_submits is not None:
-            estimator.options.parallel_submits = self.options.parallel_submits
-            estimator.options.max_concurrency = self.options.max_concurrency
 
     # -- public entry point ---------------------------------------------------
 
@@ -394,15 +380,6 @@ class Optimizer:
         self, plan: PlanNode, costing: _Costing, bound: float | None
     ) -> _Candidate | None:
         """Estimate one candidate; None when pruned by the §4.3.2 bound."""
-        hotpath = self.hotpath
-        if hotpath.enabled:
-            with hotpath.phase("candidate"):
-                return self._cost_traced(plan, costing, bound)
-        return self._cost_traced(plan, costing, bound)
-
-    def _cost_traced(
-        self, plan: PlanNode, costing: _Costing, bound: float | None
-    ) -> _Candidate | None:
         tracer = self.tracer
         if not tracer.enabled:
             return self._cost_inner(plan, costing, bound)

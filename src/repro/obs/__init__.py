@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.obs.accuracy import DriftObservation, DriftTracker, RuleDrift, q_error
 from repro.obs.export import chrome_trace, chrome_trace_json
-from repro.obs.hotpath import NULL_HOTPATH, HotpathProfiler
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -63,11 +62,6 @@ class ObservabilityOptions:
     #: Build a :class:`~repro.obs.profile.QueryProfile` per answered
     #: query (requires ``trace``; attached to ``QueryResult.profile``).
     profile: bool = True
-    #: Wall-clock phase timers around parse/optimize/candidate/estimate
-    #: (see :mod:`repro.obs.hotpath`).  Off even under ``all_on`` —
-    #: real-time measurements are nondeterministic by nature, so they
-    #: are opt-in for benchmarks (E14) rather than ambient.
-    hotpath: bool = False
 
     @classmethod
     def all_on(cls) -> "ObservabilityOptions":
@@ -86,9 +80,6 @@ class QueryTelemetry:
             MetricsRegistry() if options.metrics else None
         )
         self.drift: DriftTracker | None = DriftTracker() if options.drift else None
-        self.hotpath: HotpathProfiler | None = (
-            HotpathProfiler() if options.hotpath else None
-        )
 
     # -- per-query feeding -----------------------------------------------------
 
@@ -104,8 +95,6 @@ class QueryTelemetry:
             self._record_metrics(result, execution)
             if breakers:
                 self._record_breaker_states(breakers)
-            if self.hotpath is not None:
-                self._record_hotpath()
         if self.drift is not None:
             self.drift.observe_plan(result.estimate, execution.submit_log)
         if self.options.profile and result.trace is not None:
@@ -300,33 +289,6 @@ class QueryTelemetry:
                     state=state,
                 )
 
-    def _record_hotpath(self) -> None:
-        """Surface the wall-clock phase timers as gauges."""
-        metrics = self.metrics
-        hotpath = self.hotpath
-        assert metrics is not None and hotpath is not None
-        wall = metrics.gauge(
-            "repro_hotpath_wall_seconds",
-            "Cumulative real seconds per planning phase",
-            ("phase",),
-        )
-        calls = metrics.gauge(
-            "repro_hotpath_calls",
-            "Cumulative phase entries on the planning hot path",
-            ("phase",),
-        )
-        for name, seconds in hotpath.wall_s.items():
-            wall.set(seconds, phase=name)
-            calls.set(float(hotpath.calls.get(name, 0)), phase=name)
-        # The execute phase gets a dedicated millisecond gauge: on the
-        # real-time backend this is genuine dispatch wall time (the
-        # number E16 validates against), and before the phase existed
-        # real-backend runs reported zero on the hotpath dashboard.
-        metrics.gauge(
-            "repro_hotpath_execute_ms",
-            "Cumulative wall milliseconds spent executing plans",
-        ).set(hotpath.wall_s.get("execute", 0.0) * 1000.0)
-
 
 __all__ = [
     "Counter",
@@ -334,9 +296,7 @@ __all__ = [
     "DriftTracker",
     "Gauge",
     "Histogram",
-    "HotpathProfiler",
     "MetricsRegistry",
-    "NULL_HOTPATH",
     "NULL_TRACER",
     "NullTracer",
     "ObservabilityOptions",

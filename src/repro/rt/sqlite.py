@@ -45,6 +45,7 @@ from repro.algebra.logical import (
     Sort,
     strip_submits,
 )
+from repro.core.calibration import fit_line
 from repro.core.statistics import AttributeStats, CollectionStats
 from repro.errors import PlanError
 from repro.oo7 import generator, schema
@@ -212,8 +213,8 @@ class SQLiteWrapper(Wrapper):
         Probes run the same SQL path :meth:`execute` uses: a full scan
         plus range selects on the table's first indexed numeric
         attribute at a few selectivities.  The per-point minimum over
-        ``repeats`` runs suppresses scheduler noise; the fit is plain
-        least squares with both coefficients clamped non-negative.
+        ``repeats`` runs suppresses scheduler noise; the fit is
+        :func:`repro.core.calibration.fit_line`.
         """
         stats = self._statistics[table]
         points: list[tuple[float, float]] = []
@@ -243,7 +244,7 @@ class SQLiteWrapper(Wrapper):
                         repeats,
                     )
                 )
-        return _fit_linear(points)
+        return fit_line([rows for rows, _ in points], [ms for _, ms in points])
 
     def _probe(
         self, sql: str, params: tuple, repeats: int
@@ -415,21 +416,3 @@ class SQLiteWrapper(Wrapper):
             params.append(expression.value)
             return "?"
         raise PlanError(f"cannot translate expression {expression!r} to SQL")
-
-
-def _fit_linear(points: "list[tuple[float, float]]") -> tuple[float, float]:
-    """Least-squares ``(intercept, slope)`` of (rows, ms), clamped >= 0."""
-    if not points:
-        return (0.0, 0.0)
-    n = len(points)
-    mean_x = sum(x for x, _ in points) / n
-    mean_y = sum(y for _, y in points) / n
-    variance = sum((x - mean_x) ** 2 for x, _ in points)
-    if variance == 0.0:
-        return (max(0.0, mean_y), 0.0)
-    slope = (
-        sum((x - mean_x) * (y - mean_y) for x, y in points) / variance
-    )
-    slope = max(0.0, slope)
-    intercept = max(0.0, mean_y - slope * mean_x)
-    return (intercept, slope)

@@ -1,7 +1,8 @@
-"""Smoke tests for the experiment modules at reduced scale.
+"""Tests of the experiment modules at reduced scale.
 
-The full-scale shape assertions live in ``benchmarks/``; these tests keep
-``pytest tests/`` covering the harness code paths quickly.
+The full-scale shape assertions are the ``test_shape_*`` files beside
+this one; ``fast_results`` (conftest) is the session's single ``--fast``
+run of the registry.
 """
 
 import pytest
@@ -60,8 +61,8 @@ class TestFig12Module:
         assert len(result.points) == 2
         assert result.points[0].selectivity == 0.1
         assert result.points[1].measured_ms > result.points[0].measured_ms
-        assert "Experiment" in result.table()
-        assert "yao rule" in result.error_table()
+        assert "Experiment" in result.report()
+        assert "yao rule" in result.report()
 
 
 class TestFederationModule:
@@ -74,10 +75,10 @@ class TestFederationModule:
 
     def test_reports_render(self):
         quality = run_plan_quality(config=TINY, workload=SMALL_WORKLOAD)
-        assert "TOTAL" in quality.table()
+        assert "TOTAL" in quality.report()
         accuracy = run_accuracy(config=TINY, workload=SMALL_WORKLOAD)
-        assert "blended" in accuracy.table()
-        assert "point" in accuracy.detail_table()
+        assert "blended" in accuracy.report()
+        assert "point" in accuracy.report()
 
     def test_record_lookup_raises_on_unknown(self):
         experiment = run_federation_experiment(
@@ -92,7 +93,7 @@ class TestOverheadModule:
         result = run_overhead(rule_counts=(5, 20), repetitions=5)
         assert len(result.dispatch_rows) == 2
         assert result.dispatch_rows[0][0] == 5
-        assert "virtual-table" in result.dispatch_table()
+        assert "virtual-table" in result.report()
         assert len(result.pruning_rows) == 2
         assert len(result.propagation_rows) == 2
         assert len(result.conflict_rows) == 2
@@ -107,7 +108,7 @@ class TestHistoryModule:
     def test_history_result_tables(self):
         result = run_history(config=TINY)
         assert result.convergence_rows[0][0] == 1
-        assert "query-scope" in result.generalization_table()
+        assert "query-scope" in result.report()
         assert result.base_error > 0
 
 
@@ -117,7 +118,7 @@ class TestClusteringModule:
         assert len(result.points) == 2
         for point in result.points:
             assert point.clustered_pages <= point.scattered_pages
-        assert "clustering" in result.table()
+        assert "clustering" in result.report()
 
 
 class TestParallelModule:
@@ -150,8 +151,8 @@ class TestTelemetryModule:
         assert experiment.metrics_consistent
         assert experiment.drift_cells > 0
         assert len(experiment.mode_rows) == 2
-        assert "telemetry" in experiment.overhead_table()
-        assert "submit spans" in experiment.trace_table()
+        assert "telemetry" in experiment.report()
+        assert "submit spans" in experiment.report()
         doc = json.loads(json.dumps(experiment.to_json_dict()))
         assert doc["experiment"] == "E9"
         assert all(t["spans"] > 0 for t in doc["traces"])
@@ -178,16 +179,14 @@ class TestResilienceModule:
         complete = faulty["partial_complete_rate"] * faulty["queries"]
         assert complete + faulty["partial_degraded"] == faulty["queries"]
         assert faulty["retries"] > 0
-        assert "answered" in experiment.table()
+        assert "answered" in experiment.report()
 
 
 class TestServingModule:
-    def test_e11_fast_run(self):
+    def test_e11_fast_run(self, fast_results):
         import json
 
-        from repro.bench.serving import run_serving_experiment
-
-        experiment = run_serving_experiment(fast=True)
+        experiment = fast_results["E11"]
         doc = json.loads(json.dumps(experiment.to_json_dict()))
         assert doc["experiment"] == "E11"
         ladder = {run["label"]: run for run in doc["throughput"]}
@@ -202,10 +201,8 @@ class TestServingModule:
         assert widest["makespan_ms"] < ladder["1"]["makespan_ms"]
         assert widest["plan_cache_hits"] > 0
 
-    def test_e11_fairness_and_backpressure(self):
-        from repro.bench.serving import run_serving_experiment
-
-        experiment = run_serving_experiment(fast=True)
+    def test_e11_fairness_and_backpressure(self, fast_results):
+        experiment = fast_results["E11"]
         fairness = experiment.fairness_run
         favored = fairness.tenant("dashboards")  # quota 3
         standard = fairness.tenant("analytics")  # quota 1
@@ -220,17 +217,15 @@ class TestServingModule:
             "queue_full",
             "degraded",
         }
-        assert "tenant" in experiment.fairness_table()
-        assert "rejected" in experiment.backpressure_table()
+        assert "tenant" in experiment.report()
+        assert "rejected" in experiment.report()
 
 
 class TestShardingModule:
-    def test_e12_fast_run(self):
+    def test_e12_fast_run(self, fast_results):
         import json
 
-        from repro.bench.sharding import run_sharding_experiment
-
-        experiment = run_sharding_experiment(fast=True)
+        experiment = fast_results["E12"]
         doc = json.loads(json.dumps(experiment.to_json_dict()))
         assert doc["experiment"] == "E12"
         # The paper-shaped claim the sweep exists to show: for every
@@ -248,16 +243,14 @@ class TestShardingModule:
         # The 1-shard column is flat — no fan-out to save.
         one = [c for (s, _), c in cells.items() if s == 1]
         assert len({c["mean_branches"] for c in one}) == 1
-        assert "pruning" in experiment.table()
+        assert "pruning" in experiment.report()
 
 
 class TestCalibrationModule:
-    def test_e13_fast_run(self):
+    def test_e13_fast_run(self, fast_results):
         import json
 
-        from repro.bench.calibration import run_calibration_experiment
-
-        experiment = run_calibration_experiment(fast=True)
+        experiment = fast_results["E13"]
         doc = json.loads(json.dumps(experiment.to_json_dict()))
         assert doc["experiment"] == "E13"
         # The acceptance bar from ISSUE.md: post-shift tail median
@@ -277,41 +270,15 @@ class TestCalibrationModule:
         # Recovery means the tail beats the post-shift spike.
         phases = {p["phase"]: p for p in calibrated["phases"]}
         assert phases["recovered"]["median_q"] < phases["adapting"]["median_q"]
-        assert "recovered" in experiment.table()
-        assert "PASS" in experiment.summary()
-
-
-class TestHotpathModule:
-    def test_e14_fast_run(self):
-        import json
-
-        from repro.bench.hotpath import run_hotpath_experiment
-
-        experiment = run_hotpath_experiment(fast=True)
-        doc = json.loads(json.dumps(experiment.to_json_dict()))
-        assert doc["experiment"] == "E14"
-        # The headline figure: a positive plans-costed-per-second rate,
-        # profiled and unprofiled.
-        assert doc["plans_per_second"] > 0
-        assert doc["baseline_plans_per_second"] > 0
-        assert doc["candidates_per_second"] > 0
-        # The structural invariant: optimize ⊇ candidate ⊇ estimate.
-        assert doc["phases_nested"] is True
-        assert doc["phases"]["optimize"]["calls"] == doc["plans"]
-        assert doc["phases"]["candidate"]["calls"] >= doc["plans"]
-        assert "plans" in experiment.table()
-        assert "plans/s" in experiment.summary()
+        assert "recovered" in experiment.report()
+        assert "PASS" in experiment.report()
 
 
 class TestReplicationModule:
-    def test_e15_small_run(self):
+    def test_e15_small_run(self, fast_results):
         import json
 
-        from repro.bench.replication import run_replication_experiment
-
-        experiment = run_replication_experiment(
-            rounds=20, hedge_delays=(300.0, 1_200.0)
-        )
+        experiment = fast_results["E15"]
         doc = json.loads(json.dumps(experiment.to_json_dict()))
         assert doc["experiment"] == "E15"
         arms = {arm["label"]: arm for arm in doc["availability"]}
@@ -331,19 +298,19 @@ class TestReplicationModule:
         # p99 by >= 20% with <= 10% extra wrapper work.
         assert doc["best_delay_ms"] is not None
         assert doc["p99_improvement"] >= 0.20
-        assert "hedge delay" in experiment.table()
+        assert "hedge delay" in experiment.report()
 
 
 class TestBenchJsonOutput:
-    def test_out_dir_writer(self, tmp_path):
+    def test_out_dir_writer(self, tmp_path, capsys):
         import json
 
-        from repro.bench.__main__ import parse_out_dir, write_json
+        from repro.bench.__main__ import main
 
-        write_json(str(tmp_path), "BENCH_TEST.json", {"experiment": "T"})
-        written = json.loads((tmp_path / "BENCH_TEST.json").read_text())
-        assert written == {"experiment": "T"}
-        assert parse_out_dir(["prog", "--out-dir", "x"]) == "x"
-        assert parse_out_dir(["prog"]) is None
-        with pytest.raises(SystemExit):
-            parse_out_dir(["prog", "--out-dir"])
+        assert main(["--fast", "--only", "E8", "--out-dir", str(tmp_path)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["BENCH_E8.json"]
+        written = json.loads((tmp_path / "BENCH_E8.json").read_text())
+        assert written["experiment"] == "E8"
+        printed = capsys.readouterr().out
+        assert "# E8 — " in printed and "E8c" in printed
+        assert "# E9 — " not in printed

@@ -1,4 +1,4 @@
-"""Benchmark target for E7 — dependent (bind) joins (§7 motivation).
+"""Shape of E7 — dependent (bind) joins (§7 motivation), full scale.
 
 Asserts the experiment's shape:
 
@@ -9,15 +9,11 @@ Asserts the experiment's shape:
 * with calibrated cost information the optimizer picks the faster plan at
   *every* key count — "avoid processing a large number of images by
   first selecting a few images from other data source".
-
-The timed benchmark measures one optimize() call on the media federation.
 """
 
 import pytest
 
-from repro.bench.bindjoin_bench import build_mediator, run_bindjoin_experiment
-
-from conftest import print_report
+from repro.bench.bindjoin_bench import run_bindjoin_experiment
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +44,3 @@ class TestBindJoinShape:
             assert point.classic_estimated_ms == pytest.approx(
                 point.classic_measured_ms, rel=0.35
             )
-
-
-def test_print_bindjoin_table(result):
-    print_report("E7 — bind join", result.table())
-
-
-@pytest.mark.benchmark(group="bindjoin")
-def test_benchmark_optimize_with_bindjoin_candidates(benchmark):
-    mediator = build_mediator()
-    sql = (
-        "SELECT * FROM Tags, Images "
-        "WHERE Tags.tagged = Images.img AND Tags.weight < 50"
-    )
-    spec = mediator.parse(sql)
-    result = benchmark(lambda: mediator.optimizer.optimize(spec))
-    assert result.estimated_total_ms > 0

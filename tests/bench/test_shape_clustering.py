@@ -1,4 +1,4 @@
-"""Benchmark target for E6 — clustering (§7).
+"""Shape of E6 — clustering (§7), full scale.
 
 Asserts:
 
@@ -14,9 +14,7 @@ Asserts:
 
 import pytest
 
-from repro.bench.clustering import build_store, run_clustering
-
-from conftest import print_report
+from repro.bench.clustering import run_clustering
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +41,3 @@ class TestClustering:
         # physical counters are consistent with full correctness.
         for point in result.points:
             assert point.scattered_pages >= point.clustered_pages
-
-
-def test_print_clustering_table(result):
-    print_report("E6 — clustering", result.table())
-
-
-@pytest.mark.benchmark(group="clustering")
-def test_benchmark_clustered_index_scan(benchmark):
-    wrapper = build_store("clustered:Id", count=7000)
-
-    def scan_once():
-        return wrapper.database.timed_index_scan("Parts", "Id", high=699)
-
-    rows, _ms, _pages = benchmark(scan_once)
-    assert len(rows) == 700

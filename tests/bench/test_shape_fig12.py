@@ -1,4 +1,4 @@
-"""Benchmark target for Figure 12 (§5) — the paper's validation figure.
+"""Shape of Figure 12 (§5) — the paper's validation figure.
 
 Regenerates the three series (Experiment / Calibration / Yao formula) on
 the paper's exact configuration (70 000 AtomicParts × 56 bytes, 1000
@@ -11,20 +11,12 @@ content:
 * the calibrated linear model overshoots at high selectivity by a large
   factor and is at least an order of magnitude worse than the Yao rule
   on mean relative error.
-
-The timed benchmark measures the cost-estimation step itself — one
-blended-model estimate of the index-scan plan — since that is the
-operation the mediator performs per candidate plan.
 """
 
 import pytest
 
-from repro.algebra.expressions import Comparison, attr, lit
-from repro.algebra.logical import Scan, Select
-from repro.bench.fig12 import build_estimator, build_wrapper, run_fig12
+from repro.bench.fig12 import run_fig12
 from repro.oo7 import PAPER
-
-from conftest import print_report
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +60,3 @@ class TestFigure12Shape:
         for point in fig12_result.points:
             if point.selectivity >= 0.1:
                 assert point.pages_fetched >= 0.97 * fig12_result.page_count
-
-
-def test_print_figure12_tables(fig12_result):
-    print_report("Figure 12 (§5)", fig12_result.table())
-    print_report("Figure 12 — errors", fig12_result.error_table())
-
-
-@pytest.mark.benchmark(group="fig12")
-def test_benchmark_blended_estimate(benchmark):
-    """Time one blended-model cost estimate of the §5 index-scan plan."""
-    wrapper = build_wrapper(PAPER)
-    estimator = build_estimator(wrapper)
-    plan = Select(Scan("AtomicParts"), Comparison("<=", attr("Id"), lit(35000)))
-    result = benchmark(lambda: estimator.estimate(plan, default_source="oo7"))
-    assert result.total_time > 0

@@ -1,4 +1,4 @@
-"""Benchmark target for E5 — §4.3.1 historical costs.
+"""Shape of E5 — §4.3.1 historical costs.
 
 Asserts:
 
@@ -8,21 +8,11 @@ Asserts:
   differ (the limitation the paper points out);
 * parameter adjustment generalizes: adjusted coefficients cut the error
   on unseen constants well below the base model's.
-
-The timed benchmark measures a blended estimate against a repository
-holding recorded history (query-scope lookup cost).
 """
 
 import pytest
 
-from repro.bench.history_bench import (
-    build_mediator,
-    run_convergence,
-    run_generalization,
-    run_history,
-)
-
-from conftest import print_report
+from repro.bench.history_bench import run_convergence, run_generalization
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +36,3 @@ class TestHistory:
     def test_adjustment_generalizes(self, generalization):
         base, _recorded, adjusted = generalization
         assert adjusted < 0.6 * base
-
-
-def test_print_history_tables():
-    result = run_history()
-    print_report("E5a — convergence", result.convergence_table())
-    print_report("E5b — generalization", result.generalization_table())
-
-
-@pytest.mark.benchmark(group="history")
-def test_benchmark_estimate_with_recorded_history(benchmark):
-    mediator = build_mediator(record_history=True)
-    sql = "SELECT * FROM AtomicParts WHERE Id <= 77"
-    mediator.query(sql)  # record once
-    spec = mediator.parse(sql)
-    result = benchmark(lambda: mediator.optimizer.optimize(spec))
-    assert result.estimated_total_ms > 0

@@ -1,34 +1,40 @@
-"""Benchmark target for E4 — rule-machinery overhead and ablations.
+"""Shape of E4 — rule-machinery overhead and ablations.
 
 Asserts the §3.3.2 engineering claim: with the "virtual table" dispatch
 index, per-estimate cost stays flat as query-specific rules proliferate,
 while a linear scan degrades; plus the §4.2/§4.3.2 ablation directions
 (propagation computes fewer variables; pruning rejects candidates early).
-
-The timed benchmarks measure a single estimate at two rule-set sizes with
-the dispatch index on, and one with it off, so pytest-benchmark's
-comparison table shows the scaling directly.
 """
 
 import pytest
 
-from repro.algebra.builders import scan
 from repro.bench.overhead import (
     build_estimator,
     run_cache_ablation,
     run_conflict_ablation,
-    run_dispatch_scaling,
-    run_overhead,
     run_propagation_ablation,
     run_pruning_ablation,
+    time_estimates,
 )
 
-from conftest import print_report
+
+def fastest_us(rule_count: int, use_dispatch_index: bool) -> float:
+    """Microseconds per estimate, the fastest of 40 five-call batches:
+    the one wall-clock shape in tier-1 must hold on a loaded host, and
+    the fastest batch is the one no other process interrupted."""
+    estimator = build_estimator(rule_count, use_dispatch_index=use_dispatch_index)
+    return min(
+        time_estimates(estimator, rule_count - 1, repetitions=5)
+        for _ in range(40)
+    )
 
 
 @pytest.fixture(scope="module")
 def dispatch_rows():
-    return run_dispatch_scaling(rule_counts=(10, 200, 1000), repetitions=50)
+    return [
+        (count, fastest_us(count, True), fastest_us(count, False))
+        for count in (10, 200, 1000)
+    ]
 
 
 class TestDispatchIndex:
@@ -68,27 +74,3 @@ class TestAblations:
         # halves the formulas evaluated.
         rows = dict(run_cache_ablation())
         assert rows["on"] * 2 < rows["off"]
-
-
-def test_print_overhead_tables():
-    result = run_overhead(rule_counts=(10, 50, 200, 1000), repetitions=50)
-    print_report("E4a — dispatch", result.dispatch_table())
-    print_report("E4b — pruning", result.pruning_table())
-    print_report("E4c — propagation", result.propagation_table())
-    print_report("E4d — conflict policy", result.conflict_table())
-    print_report("E4e — subplan sharing", result.cache_table())
-
-
-@pytest.mark.benchmark(group="overhead")
-@pytest.mark.parametrize("rule_count", [10, 1000])
-def test_benchmark_estimate_with_dispatch_index(benchmark, rule_count):
-    estimator = build_estimator(rule_count, use_dispatch_index=True)
-    plan = scan("Parts").where_eq("Id", rule_count - 1).build()
-    benchmark(lambda: estimator.estimate(plan, default_source="src"))
-
-
-@pytest.mark.benchmark(group="overhead")
-def test_benchmark_estimate_linear_scan_1000_rules(benchmark):
-    estimator = build_estimator(1000, use_dispatch_index=False)
-    plan = scan("Parts").where_eq("Id", 999).build()
-    benchmark(lambda: estimator.estimate(plan, default_source="src"))

@@ -1,4 +1,4 @@
-"""Benchmark target for E8 — concurrent dispatch and the subanswer cache.
+"""Shape of E8 — concurrent dispatch and the subanswer cache.
 
 Asserts the extension's headline claims on the three-branch federation:
 concurrent waves lower simulated ``TotalTime`` without changing a single
@@ -10,8 +10,6 @@ cache with the hit/miss counters visible to clients.
 import pytest
 
 from repro.bench.parallel import run_parallel_experiment
-
-from conftest import print_report
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +51,3 @@ class TestSubanswerCache:
             "subanswer cache (lifetime): 3 hits / 3 misses"
             in experiment.explain_text
         )
-
-
-def test_print_parallel_tables(experiment):
-    print_report("E8a — dispatch", experiment.dispatch_table())
-    print_report("E8b — concurrency cap", experiment.cap_table())
-    print_report("E8c — subanswer cache", experiment.cache_table())

@@ -1,21 +1,15 @@
-"""Benchmark target for E2 — plan quality per cost-model configuration.
+"""Shape of E2 — plan quality per cost-model configuration (full scale).
 
 Runs the federation workload under the generic / calibrated / blended
 configurations and asserts the expected ordering of *actual* execution
 times: richer cost information never chooses worse plans overall, and
 wins outright on the join-placement and join-order queries where the
 generic model's standard values mislead it.
-
-The timed benchmark measures one full optimize() call on the three-way
-join — the optimizer work a mediator performs per client query.
 """
 
 import pytest
 
-from repro.bench.federation import build_engines, build_mediator
 from repro.bench.plan_quality import run_plan_quality
-
-from conftest import print_report
 
 
 @pytest.fixture(scope="module")
@@ -50,21 +44,3 @@ class TestPlanQuality:
                 for model in ("generic", "calibrated", "blended")
             }
             assert len(set(counts.values())) == 1, (label, counts)
-
-
-def test_print_plan_quality_table(report):
-    print_report("E2 — plan quality", report.table())
-
-
-@pytest.mark.benchmark(group="plan-quality")
-def test_benchmark_optimize_three_way_join(benchmark):
-    engines = build_engines()
-    mediator = build_mediator("blended", engines)
-    sql = (
-        "SELECT * FROM Orders, Suppliers, Tickets "
-        "WHERE Orders.supplier = Suppliers.sid "
-        "AND Tickets.supplier = Suppliers.sid AND Orders.qty < 50"
-    )
-    spec = mediator.parse(sql)
-    result = benchmark(lambda: mediator.optimizer.optimize(spec))
-    assert result.estimated_total_ms > 0

@@ -5,7 +5,7 @@ import pytest
 from repro.core.calibration import (
     CalibrationResult,
     DEFAULT_PROBE_SELECTIVITIES,
-    _fit_line,
+    fit_line,
     calibrate_wrapper,
 )
 from repro.core.selectivity import index_scan_cost_yao
@@ -40,19 +40,19 @@ class TestFitLine:
     def test_exact_line_recovered(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         ys = [10 + 2 * x for x in xs]
-        intercept, slope = _fit_line(xs, ys)
+        intercept, slope = fit_line(xs, ys)
         assert intercept == pytest.approx(10.0)
         assert slope == pytest.approx(2.0)
 
     def test_single_point_goes_through_origin(self):
-        intercept, slope = _fit_line([4.0], [8.0])
+        intercept, slope = fit_line([4.0], [8.0])
         assert (intercept, slope) == (0.0, 2.0)
 
     def test_negative_intercept_clamped(self):
         # A convex series would fit a negative intercept; refit at origin.
         xs = [1.0, 2.0, 3.0]
         ys = [0.1, 1.0, 10.0]
-        intercept, slope = _fit_line(xs, ys)
+        intercept, slope = fit_line(xs, ys)
         assert intercept == 0.0
         assert slope > 0
 

@@ -14,7 +14,6 @@ from repro.bench.realtime import run_realtime, spearman_rank_correlation
 from repro.errors import SourceFaultError, SourceUnavailableError
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
-from repro.obs import ObservabilityOptions
 from repro.oo7 import schema
 from repro.rt import (
     RealTimeBackend,
@@ -267,26 +266,6 @@ class TestRealFederationEndToEnd:
             sqlite.close()
             backend.close()
 
-    def test_execute_hotpath_gauge_is_nonzero(self):
-        backend = RealTimeBackend()
-        sqlite = SQLiteWrapper(
-            "oo7_db", config=schema.TINY, seed=7, extents=("AtomicParts",)
-        )
-        try:
-            mediator = Mediator(
-                executor_options=ExecutorOptions(backend=backend),
-                observability=ObservabilityOptions(
-                    enabled=True, hotpath=True, metrics=True
-                ),
-            )
-            mediator.register(sqlite)
-            mediator.query("SELECT * FROM AtomicParts WHERE Id <= 40")
-            gauge = mediator.telemetry.metrics["repro_hotpath_execute_ms"]
-            assert gauge.value() > 0.0
-        finally:
-            sqlite.close()
-            backend.close()
-
 
 class TestSpearman:
     def test_perfect_agreement(self):
@@ -311,7 +290,12 @@ class TestSpearman:
 
 class TestE16Smoke:
     def test_fast_run_correlates(self):
-        result = run_realtime(fast=True, repeats=1)
+        result = run_realtime(
+            config=schema.TINY,
+            selectivities=(0.05, 0.2, 0.45, 0.7),
+            repeats=1,
+            latency_ms=4.0,
+        )
         assert len(result.points) == 8
         assert all(p.measured_ms > 0.0 for p in result.points)
         assert all(p.estimated_ms > 0.0 for p in result.points)
@@ -319,6 +303,8 @@ class TestE16Smoke:
         # single-repeat run on a loaded test machine is noisy.
         assert result.spearman >= 0.5
         payload = result.to_json_dict()
-        assert payload["experiment"] == "E16-realtime"
-        assert payload["spearman"] == result.spearman
-        assert result.table()
+        assert payload["experiment"] == "E16"
+        # Wall-clock readings are printed, never written.
+        assert all(set(p) == {"label", "source", "selectivity", "rows"}
+                   for p in payload["points"])
+        assert "Spearman" in result.report()
