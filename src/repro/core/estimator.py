@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from repro.algebra.logical import PlanNode, Submit
@@ -52,10 +53,14 @@ from repro.core.formulas import (
     RESULT_VARIABLES,
     Value,
 )
+from repro.core.generic import CoefficientSet
 from repro.core.scopes import RuleMatch, RuleRepository, providing
 from repro.core.statistics import (
     ATTRIBUTE_STATISTICS,
     COLLECTION_STATISTICS,
+    STANDARD_COUNT_DISTINCT,
+    STANDARD_COUNT_OBJECT,
+    STANDARD_OBJECT_SIZE,
     AttributeStats,
     CollectionStats,
     StatisticsCatalog,
@@ -82,23 +87,12 @@ class EstimatorOptions:
     conflict_policy: ConflictPolicy = ConflictPolicy.LOWEST
     #: Step-1 optimization: propagate required variables / cut child calls.
     propagate_required: bool = True
-    #: Mirror the executor's concurrent submit dispatch: mediator-side
-    #: binary operators whose children all reach wrappers through Submits
-    #: combine child TotalTimes as max-of-wrapper-waits plus serialized
-    #: communication instead of the paper's additive sum, so the optimizer
-    #: prefers plans whose submits overlap.  Off by default (the §2.3
-    #: additive formulas).
-    parallel_submits: bool = False
-    #: Concurrency slots assumed by the parallel combinator (None =
-    #: unbounded).  ``Mediator.__init__`` copies this and
-    #: ``parallel_submits`` from ``ExecutorOptions`` unless the caller
-    #: passes explicit ``EstimatorOptions``.
-    max_concurrency: int | None = None
-    #: Statistics assumed for collections absent from the catalog (§6:
-    #: "In case they are not provided, standard values are given").
-    default_count_object: int = 1000
-    default_object_size: int = 100
-    default_count_distinct: int = 100
+
+
+#: The paper's execution model — one submit after another, additive
+#: ``TotalTime`` (§2.3): what an estimator assumes until the mediator
+#: points :attr:`CostEstimator.execution` at its executor's options.
+SEQUENTIAL_EXECUTION = SimpleNamespace(parallel_submits=False, max_concurrency=None)
 
 
 class PlanPruned(Exception):
@@ -433,12 +427,13 @@ class _NodeContext:
             return None
 
     @property
-    def coefficients(self) -> Any:
+    def coefficients(self) -> CoefficientSet:
         return self.estimation.estimator.coefficients
 
     @property
-    def options(self) -> EstimatorOptions:
-        return self.estimation.estimator.options
+    def execution(self) -> Any:
+        """The executor's declaration of how submits dispatch."""
+        return self.estimation.estimator.execution
 
 
 #: ``NodeEstimate.peaks`` value when no TotalTime was computed beneath.
@@ -590,12 +585,18 @@ class CostEstimator:
         repository: RuleRepository,
         catalog: StatisticsCatalog,
         options: EstimatorOptions | None = None,
-        coefficients: Any = None,
+        coefficients: CoefficientSet | None = None,
     ) -> None:
         self.repository = repository
         self.catalog = catalog
         self.options = options or EstimatorOptions()
-        self.coefficients = coefficients
+        self.coefficients = (
+            coefficients if coefficients is not None else CoefficientSet()
+        )
+        #: How the executor dispatches submits: any object declaring
+        #: ``parallel_submits`` and ``max_concurrency`` (the mediator wires
+        #: in its ``ExecutorOptions``, the one place the pair is set).
+        self.execution: Any = SEQUENTIAL_EXECUTION
         self._environments: dict[str, SourceEnvironment] = {}
         self._default_stats_cache: dict[str, CollectionStats] = {}
         self.last_counters = EstimatorCounters()
@@ -629,11 +630,10 @@ class CostEstimator:
         if collection in self.catalog:
             return self.catalog.get(collection)
         if collection not in self._default_stats_cache:
-            options = self.options
             self._default_stats_cache[collection] = CollectionStats.from_extent(
                 collection,
-                count_object=options.default_count_object,
-                object_size=options.default_object_size,
+                count_object=STANDARD_COUNT_OBJECT,
+                object_size=STANDARD_OBJECT_SIZE,
             )
         return self._default_stats_cache[collection]
 
@@ -641,7 +641,7 @@ class CostEstimator:
         return AttributeStats(
             name=attribute,
             indexed=False,
-            count_distinct=self.options.default_count_distinct,
+            count_distinct=STANDARD_COUNT_DISTINCT,
         )
 
     # -- the algorithm ---------------------------------------------------------------

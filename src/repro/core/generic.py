@@ -32,6 +32,7 @@ source class, following [DKS92]/[GST96].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,7 +61,12 @@ from repro.core.rules import (
     var,
 )
 from repro.core.scopes import RuleRepository
-from repro.core.statistics import AttributeStats
+from repro.core.statistics import (
+    STANDARD_COUNT_DISTINCT,
+    STANDARD_COUNT_OBJECT,
+    STANDARD_OBJECT_SIZE,
+    AttributeStats,
+)
 
 #: An "impossible" cost used by method formulas that do not apply (no
 #: index, wrong shape).  Under the lowest-value policy it simply loses.
@@ -161,60 +167,9 @@ class CoefficientSet:
 
 
 def _coeffs(ctx) -> GenericCoefficients:
-    """Coefficients applicable at the node a formula is evaluating."""
-    holder = ctx.coefficients
-    if isinstance(holder, CoefficientSet):
-        return holder.for_source(ctx.source)
-    if isinstance(holder, GenericCoefficients):
-        return holder
-    return GenericCoefficients()
-
-
-def _mediator_coeffs(ctx) -> GenericCoefficients:
-    holder = ctx.coefficients
-    if isinstance(holder, CoefficientSet):
-        return holder.mediator
-    return _coeffs(ctx)
-
-
-def _parallel_children_total(ctx) -> float | None:
-    """Parallel-aware TotalTime combinator for mediator-side binary nodes.
-
-    Mirrors the executor's concurrent submit dispatch: when every child of
-    a mediator-executed Join/Union reaches wrappers through Submit nodes,
-    their wrapper waits overlap — the combined input cost is the
-    list-scheduled makespan of the per-child wrapper shares plus the
-    (serialized) per-branch communication.  Returns ``None`` when the
-    additive §2.3 combination applies: option off, node owned by a
-    wrapper, or some child never leaves the mediator.
-    """
-    options = ctx.options
-    if not getattr(options, "parallel_submits", False) or ctx.source is not None:
-        return None
-    children = ctx.node.children
-    if len(children) < 2:
-        return None
-    submits_per_child = [
-        [d for d in child.walk() if isinstance(d, Submit)] for child in children
-    ]
-    if any(not submits for submits in submits_per_child):
-        return None
-    coeffs = _mediator_coeffs(ctx)
-    waits: list[float] = []
-    communication = 0.0
-    for index, (child, submits) in enumerate(zip(children, submits_per_child)):
-        total = ctx.child_value("TotalTime", index)
-        comm = 0.0
-        for submit in submits:
-            size = float(ctx.estimation.value_of(submit, "TotalSize"))
-            comm += 2.0 * coeffs.ms_per_message + size * coeffs.ms_per_byte
-        comm = min(comm, total)
-        communication += comm
-        waits.append(total - comm)
-    makespan = ParallelClock.makespan(
-        waits, getattr(options, "max_concurrency", None)
-    )
-    return makespan + communication
+    """Coefficients of the node a formula is evaluating: its source's
+    calibrated set, or the mediator's for a node the mediator runs."""
+    return ctx.coefficients.for_source(ctx.source)
 
 
 # ---------------------------------------------------------------------------
@@ -301,380 +256,13 @@ def _single_indexed_comparison(ctx, node: PlanNode) -> Comparison | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Native formula helpers
-# ---------------------------------------------------------------------------
-
-
-def _native(
-    target: str,
-    body: Callable[..., Value],
-    label: str,
-    child_req: tuple[str, ...] = (),
-    own_req: tuple[str, ...] = (),
-) -> PythonFormula:
-    return PythonFormula(
-        target,
-        body,
-        source=f"{target} = <generic:{label}>",
-        child_requirements=frozenset(child_req),
-        own_requirements=frozenset(own_req),
-    )
-
-
-def _time_next_formula() -> PythonFormula:
-    """Catch-all ``TimeNext = (TotalTime - TimeFirst) / CountObject``."""
-
-    def time_next(ctx) -> Value:
-        total = ctx.own_value("TotalTime")
-        first = ctx.own_value("TimeFirst")
-        count = max(1.0, ctx.own_value("CountObject"))
-        return max(0.0, (total - first)) / count
-
-    return _native(
-        "TimeNext",
-        time_next,
-        "avg-per-tuple",
-        own_req=("TotalTime", "TimeFirst", "CountObject"),
-    )
-
-
-def _rule(pattern: OperatorPattern, formulas: list[PythonFormula], name: str) -> CostRule:
-    return CostRule(head=pattern, formulas=list(formulas), name=name)
-
-
-# ---------------------------------------------------------------------------
-# Rules per operator
-# ---------------------------------------------------------------------------
-
-
-def _scan_rules() -> list[CostRule]:
-    pattern = scan_pattern(var("C"))
-
-    def count_object(ctx) -> Value:
-        collection = ctx.match.bindings["C"]
-        return float(ctx.estimation.estimator.stats_for(collection).count_object)
-
-    def total_size(ctx) -> Value:
-        collection = ctx.match.bindings["C"]
-        return float(ctx.estimation.estimator.stats_for(collection).total_size)
-
-    def time_first(ctx) -> Value:
-        return _coeffs(ctx).ms_scan_startup
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        count = ctx.own_value("CountObject")
-        return coeffs.ms_scan_startup + count * coeffs.ms_per_object_scanned
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native("CountObject", count_object, "scan-card"),
-                _native("TotalSize", total_size, "scan-size"),
-                _native("TimeFirst", time_first, "scan-first"),
-                _native(
-                    "TotalTime", total_time, "seq-scan", own_req=("CountObject",)
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-scan",
-        )
-    ]
-
-
-def _select_rules() -> list[CostRule]:
-    pattern = select_pattern(var("C"))
-
-    def count_object(ctx) -> Value:
-        selectivity = predicate_selectivity(ctx, ctx.node.predicate)
-        return ctx.child_value("CountObject") * selectivity
-
-    def total_size(ctx) -> Value:
-        return ctx.own_value("CountObject") * ctx.child_value("ObjectSize")
-
-    def time_first_seq(ctx) -> Value:
-        return ctx.child_value("TimeFirst")
-
-    def total_time_seq(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        return (
-            ctx.child_value("TotalTime")
-            + ctx.child_value("CountObject") * coeffs.ms_per_object_filter
-        )
-
-    def total_time_index(ctx) -> Value:
-        comparison = _single_indexed_comparison(ctx, ctx.node)
-        if comparison is None:
-            return NOT_APPLICABLE
-        coeffs = _coeffs(ctx)
-        selectivity = predicate_selectivity(ctx, ctx.node.predicate)
-        base_count = ctx.child_value("CountObject")
-        selected = selectivity * base_count
-        return coeffs.ms_index_startup + selected * coeffs.ms_per_object_index
-
-    def time_first_index(ctx) -> Value:
-        if _single_indexed_comparison(ctx, ctx.node) is None:
-            return NOT_APPLICABLE
-        return _coeffs(ctx).ms_index_startup
-
-    seq_rule = _rule(
-        pattern,
-        [
-            _native(
-                "CountObject", count_object, "select-card", child_req=("CountObject",)
-            ),
-            _native(
-                "TotalSize",
-                total_size,
-                "select-size",
-                child_req=("ObjectSize",),
-                own_req=("CountObject",),
-            ),
-            _native(
-                "TimeFirst", time_first_seq, "select-seq-first", child_req=("TimeFirst",)
-            ),
-            _native(
-                "TotalTime",
-                total_time_seq,
-                "seq-filter",
-                child_req=("TotalTime", "CountObject"),
-            ),
-            _time_next_formula(),
-        ],
-        name="generic-select-seq",
-    )
-    index_rule = _rule(
-        pattern,
-        [
-            _native(
-                "TotalTime",
-                total_time_index,
-                "index-scan",
-                child_req=("CountObject",),
-            ),
-            _native("TimeFirst", time_first_index, "index-scan-first"),
-        ],
-        name="generic-select-index",
-    )
-    return [seq_rule, index_rule]
-
-
-def _project_rules() -> list[CostRule]:
-    pattern = unary_pattern("project", var("C"))
-
-    def count_object(ctx) -> Value:
-        return ctx.child_value("CountObject")
-
-    def total_size(ctx) -> Value:
-        node = ctx.node
-        stats = ctx.primary_stats_or_none()
-        if stats is not None and stats.attributes:
-            fraction = min(1.0, len(node.attributes) / len(stats.attributes))
-        else:
-            fraction = 0.5
-        return ctx.child_value("TotalSize") * fraction
-
-    def time_first(ctx) -> Value:
-        return ctx.child_value("TimeFirst")
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        return (
-            ctx.child_value("TotalTime")
-            + ctx.child_value("CountObject") * coeffs.ms_per_object_project
-        )
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject", count_object, "project-card", child_req=("CountObject",)
-                ),
-                _native(
-                    "TotalSize", total_size, "project-size", child_req=("TotalSize",)
-                ),
-                _native(
-                    "TimeFirst", time_first, "project-first", child_req=("TimeFirst",)
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "project-time",
-                    child_req=("TotalTime", "CountObject"),
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-project",
-        )
-    ]
-
-
-def _sort_rules() -> list[CostRule]:
-    pattern = unary_pattern("sort", var("C"))
-
-    def carry(variable: str) -> Callable[..., Value]:
-        def body(ctx) -> Value:
-            return ctx.child_value(variable)
-
-        body.__name__ = f"carry_{variable}"
-        return body
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        count = ctx.child_value("CountObject")
-        return ctx.child_value("TotalTime") + coeffs.ms_sort_factor * count * math.log2(
-            count + 2.0
-        )
-
-    def time_first(ctx) -> Value:
-        # A sort is blocking: the first tuple appears only at the end
-        # ("TimeFirst accounts for query start up time and, in particular,
-        # sort operations", §2.3).
-        return ctx.own_value("TotalTime")
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject",
-                    carry("CountObject"),
-                    "sort-card",
-                    child_req=("CountObject",),
-                ),
-                _native(
-                    "TotalSize", carry("TotalSize"), "sort-size", child_req=("TotalSize",)
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "sort-time",
-                    child_req=("TotalTime", "CountObject"),
-                ),
-                _native("TimeFirst", time_first, "sort-first", own_req=("TotalTime",)),
-                _time_next_formula(),
-            ],
-            name="generic-sort",
-        )
-    ]
-
-
-def _distinct_rules() -> list[CostRule]:
-    pattern = unary_pattern("distinct", var("C"))
-
-    def count_object(ctx) -> Value:
-        # Without value statistics of the full tuple, duplicate elimination
-        # keeps everything (conservative upper bound).
-        return ctx.child_value("CountObject")
-
-    def total_size(ctx) -> Value:
-        return ctx.own_value("CountObject") * ctx.child_value("ObjectSize")
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        return (
-            ctx.child_value("TotalTime")
-            + ctx.child_value("CountObject") * coeffs.ms_per_object_hash
-        )
-
-    def time_first(ctx) -> Value:
-        return ctx.own_value("TotalTime")
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject", count_object, "distinct-card", child_req=("CountObject",)
-                ),
-                _native(
-                    "TotalSize",
-                    total_size,
-                    "distinct-size",
-                    child_req=("ObjectSize",),
-                    own_req=("CountObject",),
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "distinct-time",
-                    child_req=("TotalTime", "CountObject"),
-                ),
-                _native("TimeFirst", time_first, "distinct-first", own_req=("TotalTime",)),
-                _time_next_formula(),
-            ],
-            name="generic-distinct",
-        )
-    ]
-
-
-def _aggregate_rules() -> list[CostRule]:
-    pattern = unary_pattern("aggregate", var("C"))
-
-    def count_object(ctx) -> Value:
-        node = ctx.node
-        child_count = ctx.child_value("CountObject")
-        if not node.group_by:
-            return 1.0
-        stats = ctx.primary_stats_or_none()
-        groups = 1.0
-        for attribute in node.group_by:
-            attr_stats = None
-            if stats is not None and attribute in stats.attributes:
-                attr_stats = stats.attributes[attribute]
-            if attr_stats is not None and attr_stats.count_distinct:
-                groups *= attr_stats.count_distinct
-            else:
-                groups *= math.sqrt(max(1.0, child_count))
-        return min(child_count, groups)
-
-    def total_size(ctx) -> Value:
-        node = ctx.node
-        width = 16.0 * (len(node.group_by) + len(node.aggregates))
-        return ctx.own_value("CountObject") * width
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        return (
-            ctx.child_value("TotalTime")
-            + ctx.child_value("CountObject") * coeffs.ms_per_object_hash
-        )
-
-    def time_first(ctx) -> Value:
-        return ctx.own_value("TotalTime")
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject", count_object, "agg-card", child_req=("CountObject",)
-                ),
-                _native("TotalSize", total_size, "agg-size", own_req=("CountObject",)),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "agg-time",
-                    child_req=("TotalTime", "CountObject"),
-                ),
-                _native("TimeFirst", time_first, "agg-first", own_req=("TotalTime",)),
-                _time_next_formula(),
-            ],
-            name="generic-aggregate",
-        )
-    ]
-
-
 def _join_selectivity(ctx, node: Join) -> float:
     left_stats = ctx.attribute_stats(
-        node.left_attribute.collection or _side_collection(node.left),
+        node.left_attribute.collection or node.left.primary_collection(),
         node.left_attribute.name,
     )
     right_stats = ctx.attribute_stats(
-        node.right_attribute.collection or _side_collection(node.right),
+        node.right_attribute.collection or node.right.primary_collection(),
         node.right_attribute.name,
     )
     if left_stats is None and right_stats is None:
@@ -683,484 +271,602 @@ def _join_selectivity(ctx, node: Join) -> float:
     return sel_mod.join_selectivity(left_stats or fallback, right_stats or fallback)
 
 
-def _side_collection(node: PlanNode) -> str | None:
-    return node.primary_collection()
-
-
-def _index_join_applicable(ctx, node: Join) -> bool:
+def _join_index(ctx, node: Join) -> AttributeStats | None:
     """§2.3: "When an index is existing, the index join formula is
     selected" — applicable when the right input is a base scan with an
-    exported index on the join attribute."""
+    exported index on the join attribute, whose statistics these are."""
     right = node.right
     if not isinstance(right, Scan):
-        return False
+        return None
     right_stats = ctx.attribute_stats(right.collection, node.right_attribute.name)
-    return right_stats is not None and right_stats.indexed
+    return right_stats if right_stats is not None and right_stats.indexed else None
 
 
-def _join_rules() -> list[CostRule]:
-    pattern = join_pattern(var("C1"), var("C2"))
+# ---------------------------------------------------------------------------
+# Inputs that overlap: the executor's wave model, stated once
+# ---------------------------------------------------------------------------
 
-    def count_object(ctx) -> Value:
-        node = ctx.node
-        selectivity = _join_selectivity(ctx, node)
-        return (
-            ctx.child_value("CountObject", 0)
-            * ctx.child_value("CountObject", 1)
-            * selectivity
-        )
 
-    def total_size(ctx) -> Value:
-        width = ctx.child_value("ObjectSize", 0) + ctx.child_value("ObjectSize", 1)
-        return ctx.own_value("CountObject") * width
+def _makespan(ctx, waits: list[float]) -> float:
+    """List-scheduled completion time of one dispatch wave, under the
+    concurrency bound the executor declares (``ctx.execution``)."""
+    return ParallelClock.makespan(waits, ctx.execution.max_concurrency)
 
-    def total_time_nested(ctx) -> Value:
-        # §2.3 precedence: the index-join formula is *selected* when an
-        # index exists; only otherwise do nested-loop and sort-merge race.
-        if _index_join_applicable(ctx, ctx.node):
-            return NOT_APPLICABLE
-        coeffs = _coeffs(ctx)
-        n1 = ctx.child_value("CountObject", 0)
-        n2 = ctx.child_value("CountObject", 1)
-        inputs = _parallel_children_total(ctx)
-        if inputs is None:
-            inputs = ctx.child_value("TotalTime", 0) + ctx.child_value(
-                "TotalTime", 1
-            )
-        return inputs + n1 * n2 * coeffs.ms_per_pair_nested_loop
 
-    def total_time_sort_merge(ctx) -> Value:
-        if _index_join_applicable(ctx, ctx.node):
-            return NOT_APPLICABLE
-        coeffs = _coeffs(ctx)
-        n1 = ctx.child_value("CountObject", 0)
-        n2 = ctx.child_value("CountObject", 1)
-        sort_cost = coeffs.ms_sort_factor * (
-            n1 * math.log2(n1 + 2.0) + n2 * math.log2(n2 + 2.0)
-        )
-        merge_cost = (n1 + n2) * coeffs.ms_per_object_merge
-        inputs = _parallel_children_total(ctx)
-        if inputs is None:
-            inputs = ctx.child_value("TotalTime", 0) + ctx.child_value(
-                "TotalTime", 1
-            )
-        return inputs + sort_cost + merge_cost
+def _wave_total(ctx, submits_per_child, network_factor: float = 1.0) -> float:
+    """``TotalTime`` of children dispatched as one submit wave.
 
-    def total_time_index(ctx) -> Value:
-        node = ctx.node
-        if not _index_join_applicable(ctx, node):
-            return NOT_APPLICABLE
-        right = node.right
-        assert isinstance(right, Scan)
-        right_stats = ctx.attribute_stats(right.collection, node.right_attribute.name)
-        assert right_stats is not None
-        coeffs = _coeffs(ctx)
-        n1 = ctx.child_value("CountObject", 0)
-        n2 = ctx.child_value("CountObject", 1)
-        matches_per_probe = n2 / max(1.0, float(right_stats.count_distinct or n2))
-        probe_cost = coeffs.ms_per_probe_index_join + (
-            matches_per_probe * coeffs.ms_per_object_fetch
-        )
-        return ctx.child_value("TotalTime", 0) + n1 * probe_cost
+    Mirrors the executor's concurrent dispatch: each child's time splits
+    into the communication of the Submits beneath it — serialized at the
+    mediator, never more than the child's whole time — and the wrapper
+    wait that remains; the waits overlap (:func:`_makespan`), the
+    communication adds up, scaled by ``network_factor``.
+    """
+    coeffs = ctx.coefficients.mediator
+    waits: list[float] = []
+    communication = 0.0
+    for index, submits in enumerate(submits_per_child):
+        total = ctx.child_value("TotalTime", index)
+        comm = 0.0
+        for submit in submits:
+            size = float(ctx.estimation.value_of(submit, "TotalSize"))
+            comm += 2.0 * coeffs.ms_per_message + size * coeffs.ms_per_byte
+        comm = min(comm, total)
+        communication += comm
+        waits.append(total - comm)
+    return _makespan(ctx, waits) + network_factor * communication
 
-    def time_first(ctx) -> Value:
-        return ctx.child_value("TimeFirst", 0) + ctx.child_value("TimeFirst", 1)
 
-    main_rule = _rule(
-        pattern,
-        [
-            _native(
-                "CountObject", count_object, "join-card", child_req=("CountObject",)
-            ),
-            _native(
-                "TotalSize",
-                total_size,
-                "join-size",
-                child_req=("ObjectSize",),
-                own_req=("CountObject",),
-            ),
-            _native(
-                "TotalTime",
-                total_time_nested,
-                "nested-loop-join",
-                child_req=("TotalTime", "CountObject"),
-            ),
-            _native(
-                "TimeFirst", time_first, "join-first", child_req=("TimeFirst",)
-            ),
-            _time_next_formula(),
-        ],
-        name="generic-join-nested-loop",
+#: What :func:`_inputs_total` may read of a child: its time, and — when the
+#: child is itself one of the wave's Submits — its size.
+_INPUT_READS = ("TotalTime", "TotalSize")
+
+
+def _inputs_total(ctx) -> float:
+    """Combined ``TotalTime`` of the two inputs of a join or union.
+
+    The §2.3 additive sum, unless the executor declares concurrent
+    dispatch, the mediator runs the node, and every input reaches wrappers
+    through Submit nodes — then the inputs are one wave
+    (:func:`_wave_total`), so the optimizer prefers plans whose submits
+    overlap.
+    """
+    if ctx.execution.parallel_submits and ctx.source is None:
+        submits_per_child = [
+            [d for d in child.walk() if isinstance(d, Submit)]
+            for child in ctx.node.children
+        ]
+        if all(submits_per_child):
+            return _wave_total(ctx, submits_per_child)
+    return ctx.child_value("TotalTime", 0) + ctx.child_value("TotalTime", 1)
+
+
+# ---------------------------------------------------------------------------
+# Formula shapes: each body is written once and leaves its builder finished —
+# label and the child / own variables it reads declared right beside the reads
+# ---------------------------------------------------------------------------
+
+
+def _formula(
+    target: str,
+    label: str,
+    body: Callable[..., Value] | None = None,
+    *,
+    child: tuple[str, ...] = (),
+    own: tuple[str, ...] = (),
+):
+    """The finished formula ``target = <generic:label>`` whose ``body`` reads
+    the ``child`` variables of the node's children and the ``own`` variables
+    of the node itself; without a body, the decorator that finishes one."""
+    if body is None:
+        return lambda body: _formula(target, label, body, child=child, own=own)
+    return PythonFormula(
+        target,
+        body,
+        source=f"{target} = <generic:{label}>",
+        child_requirements=frozenset(child),
+        own_requirements=frozenset(own),
     )
-    sort_merge_rule = _rule(
-        pattern,
-        [
-            _native(
-                "TotalTime",
-                total_time_sort_merge,
-                "sort-merge-join",
-                child_req=("TotalTime", "CountObject"),
-            )
-        ],
-        name="generic-join-sort-merge",
+
+
+def _carry(variable: str, label: str) -> PythonFormula:
+    """``variable`` passes through from the (first) child unchanged."""
+    return _formula(
+        variable, label, lambda ctx: ctx.child_value(variable), child=(variable,)
     )
-    index_rule = _rule(
-        pattern,
-        [
-            _native(
-                "TotalTime",
-                total_time_index,
-                "index-join",
-                child_req=("TotalTime", "CountObject"),
-            )
-        ],
-        name="generic-join-index",
-    )
-    return [main_rule, sort_merge_rule, index_rule]
 
 
-def _bindjoin_rules() -> list[CostRule]:
-    pattern = unary_pattern("bindjoin", var("C"))
+def _sum_of_children(variable: str, label: str) -> PythonFormula:
+    """``variable`` adds up over every child: a union's two inputs, a
+    scatter's branches."""
 
-    def _inner_stats(ctx):
-        node: BindJoin = ctx.node
-        return ctx.stats_or_none(node.inner_collection)
-
-    def _inner_attr_stats(ctx):
-        node: BindJoin = ctx.node
-        return ctx.attribute_stats(node.inner_collection, node.inner_attribute.name)
-
-    def _distinct_keys(ctx) -> float:
-        """Estimated distinct outer join-key values to probe with."""
-        node: BindJoin = ctx.node
-        outer_count = ctx.child_value("CountObject")
-        outer_attr = ctx.attribute_stats(
-            node.outer_attribute.collection or node.outer.primary_collection(),
-            node.outer_attribute.name,
-        )
-        if outer_attr is not None and outer_attr.count_distinct:
-            return min(outer_count, float(outer_attr.count_distinct))
-        return outer_count
-
-    def count_object(ctx) -> Value:
-        node: BindJoin = ctx.node
-        inner = _inner_stats(ctx)
-        inner_count = (
-            float(inner.count_object)
-            if inner is not None
-            else float(ctx.options.default_count_object)
-        )
-        inner_attr = _inner_attr_stats(ctx)
-        distinct = float(
-            inner_attr.count_distinct
-            if inner_attr is not None and inner_attr.count_distinct
-            else ctx.options.default_count_distinct
-        )
-        matches_per_key = inner_count / max(1.0, distinct)
-        selectivity = 1.0
-        if node.inner_filters is not None:
-            selectivity = predicate_selectivity(ctx, node.inner_filters)
-        return ctx.child_value("CountObject") * matches_per_key * selectivity
-
-    def total_size(ctx) -> Value:
-        inner = _inner_stats(ctx)
-        inner_width = float(inner.object_size) if inner is not None else 100.0
-        return ctx.own_value("CountObject") * (
-            ctx.child_value("ObjectSize") + inner_width
+    @_formula(variable, label, child=(variable,))
+    def children_sum(ctx) -> Value:
+        return sum(
+            ctx.child_value(variable, index)
+            for index in range(len(ctx.node.children))
         )
 
-    def total_time(ctx) -> Value:
-        node: BindJoin = ctx.node
-        inner_attr = _inner_attr_stats(ctx)
-        if inner_attr is None or not inner_attr.indexed:
-            # Probing without an index means one inner scan per batch —
-            # never competitive; let the classic join win.
-            return NOT_APPLICABLE
-        holder = ctx.coefficients
-        inner_coeffs = (
-            holder.for_source(node.wrapper)
-            if isinstance(holder, CoefficientSet)
-            else _coeffs(ctx)
-        )
-        mediator_coeffs = (
-            holder.mediator if isinstance(holder, CoefficientSet) else _coeffs(ctx)
-        )
-        keys = _distinct_keys(ctx)
-        inner = _inner_stats(ctx)
-        inner_count = (
-            float(inner.count_object)
-            if inner is not None
-            else float(ctx.options.default_count_object)
-        )
-        matches_per_key = inner_count / max(
-            1.0, float(inner_attr.count_distinct or inner_count)
-        )
-        # Each probe is one index lookup at the inner source; the
-        # calibrated per-selected-object index coefficient (fitted by the
-        # [GST96] procedure) prices the retrieved objects.
-        probe_cost = inner_coeffs.ms_index_startup / max(
-            1.0, node.batch_size
-        ) + matches_per_key * max(
-            inner_coeffs.ms_per_object_index, inner_coeffs.ms_per_object_fetch
-        )
-        batches = math.ceil(keys / node.batch_size)
-        communication = 2.0 * batches * mediator_coeffs.ms_per_message
-        probe_time = keys * probe_cost
-        if getattr(ctx.options, "parallel_submits", False) and batches > 1:
-            # Probe batches dispatch as one wave: the inner-source waits
-            # overlap (communication stays serialized at the mediator).
-            batch_keys = [float(node.batch_size)] * (batches - 1)
-            batch_keys.append(keys - node.batch_size * (batches - 1))
-            probe_time = ParallelClock.makespan(
-                [k * probe_cost for k in batch_keys],
-                getattr(ctx.options, "max_concurrency", None),
-            )
-        return ctx.child_value("TotalTime") + communication + probe_time
-
-    def time_first(ctx) -> Value:
-        holder = ctx.coefficients
-        mediator_coeffs = (
-            holder.mediator if isinstance(holder, CoefficientSet) else _coeffs(ctx)
-        )
-        return ctx.child_value("TotalTime") + mediator_coeffs.ms_per_message
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject",
-                    count_object,
-                    "bindjoin-card",
-                    child_req=("CountObject",),
-                ),
-                _native(
-                    "TotalSize",
-                    total_size,
-                    "bindjoin-size",
-                    child_req=("ObjectSize",),
-                    own_req=("CountObject",),
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "bind-join",
-                    child_req=("TotalTime", "CountObject"),
-                ),
-                _native(
-                    "TimeFirst", time_first, "bindjoin-first", child_req=("TotalTime",)
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-bindjoin",
-        )
-    ]
+    return children_sum
 
 
-def _union_rules() -> list[CostRule]:
-    pattern = union_pattern(var("C1"), var("C2"))
+def _catalog_statistic(target: str, label: str, statistic: str) -> PythonFormula:
+    """``target`` is a statistic of the scanned collection (§6 standard
+    values when the catalog lacks it)."""
 
-    def count_object(ctx) -> Value:
-        return ctx.child_value("CountObject", 0) + ctx.child_value("CountObject", 1)
+    @_formula(target, label)
+    def catalog_statistic(ctx) -> Value:
+        stats = ctx.estimation.estimator.stats_for(ctx.match.bindings["C"])
+        return float(getattr(stats, statistic))
 
-    def total_size(ctx) -> Value:
-        return ctx.child_value("TotalSize", 0) + ctx.child_value("TotalSize", 1)
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
-        count = ctx.own_value("CountObject")
-        inputs = _parallel_children_total(ctx)
-        if inputs is None:
-            inputs = ctx.child_value("TotalTime", 0) + ctx.child_value(
-                "TotalTime", 1
-            )
-        return inputs + count * coeffs.ms_per_object_output
-
-    def time_first(ctx) -> Value:
-        return min(ctx.child_value("TimeFirst", 0), ctx.child_value("TimeFirst", 1))
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject", count_object, "union-card", child_req=("CountObject",)
-                ),
-                _native(
-                    "TotalSize", total_size, "union-size", child_req=("TotalSize",)
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "union-time",
-                    child_req=("TotalTime",),
-                    own_req=("CountObject",),
-                ),
-                _native(
-                    "TimeFirst", time_first, "union-first", child_req=("TimeFirst",)
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-union",
-        )
-    ]
+    return catalog_statistic
 
 
-def _submit_rules() -> list[CostRule]:
-    pattern = unary_pattern("submit", var("C"))
+def _per_object_surcharge(label: str, coefficient: str) -> PythonFormula:
+    """``TotalTime`` of a streaming unary operator: the child's time plus
+    one ``coefficient`` per object the child delivers."""
 
-    def count_object(ctx) -> Value:
-        return ctx.child_value("CountObject")
-
-    def total_size(ctx) -> Value:
-        return ctx.child_value("TotalSize")
-
-    def total_time(ctx) -> Value:
-        coeffs = _coeffs(ctx)
+    @_formula("TotalTime", label, child=("TotalTime", "CountObject"))
+    def surcharged(ctx) -> Value:
+        per_object = getattr(_coeffs(ctx), coefficient)
         return (
             ctx.child_value("TotalTime")
-            + 2.0 * coeffs.ms_per_message
-            + ctx.child_value("TotalSize") * coeffs.ms_per_byte
+            + ctx.child_value("CountObject") * per_object
         )
 
-    def time_first(ctx) -> Value:
-        return ctx.child_value("TimeFirst") + _coeffs(ctx).ms_per_message
-
-    return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject", count_object, "submit-card", child_req=("CountObject",)
-                ),
-                _native(
-                    "TotalSize", total_size, "submit-size", child_req=("TotalSize",)
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "submit-time",
-                    child_req=("TotalTime", "TotalSize"),
-                ),
-                _native(
-                    "TimeFirst", time_first, "submit-first", child_req=("TimeFirst",)
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-submit",
-        )
-    ]
+    return surcharged
 
 
-def _scatter_rules() -> list[CostRule]:
+def _blocking_first(label: str) -> PythonFormula:
+    """A blocking operator: the first tuple appears only at the end
+    ("TimeFirst accounts for query start up time and, in particular, sort
+    operations", §2.3)."""
+    return _formula(
+        "TimeFirst", label, lambda ctx: ctx.own_value("TotalTime"), own=("TotalTime",)
+    )
+
+
+def _first_of_inputs(label: str, combine: Callable[..., float]) -> PythonFormula:
+    """``TimeFirst`` of a binary operator from its two inputs' ``TimeFirst``."""
+
+    @_formula("TimeFirst", label, child=("TimeFirst",))
+    def first(ctx) -> Value:
+        return combine(ctx.child_value("TimeFirst", 0), ctx.child_value("TimeFirst", 1))
+
+    return first
+
+
+def _child_width(ctx) -> float:
+    return ctx.child_value("ObjectSize")
+
+
+def _own_count_times(
+    label: str,
+    width: Callable[..., float] = _child_width,
+    child: tuple[str, ...] = ("ObjectSize",),
+) -> PythonFormula:
+    """``TotalSize`` = the node's own ``CountObject`` × the ``width`` of one
+    result object; ``child`` names what ``width`` reads of the children."""
+    return _formula(
+        "TotalSize",
+        label,
+        lambda ctx: ctx.own_value("CountObject") * width(ctx),
+        child=child,
+        own=("CountObject",),
+    )
+
+
+def _unindexed_join(
+    label: str, method_terms: Callable[..., tuple[float, ...]]
+) -> PythonFormula:
+    """``TotalTime`` of a join method that scans both inputs: the inputs
+    (:func:`_inputs_total`) plus the method's own terms, added in order.
+
+    §2.3 precedence: the index-join formula is *selected* when an index
+    exists; only otherwise do nested-loop and sort-merge race.
+    """
+
+    @_formula("TotalTime", label, child=("CountObject", *_INPUT_READS))
+    def total_time(ctx) -> Value:
+        if _join_index(ctx, ctx.node) is not None:
+            return NOT_APPLICABLE
+        coeffs = _coeffs(ctx)
+        n1 = ctx.child_value("CountObject", 0)
+        n2 = ctx.child_value("CountObject", 1)
+        total = _inputs_total(ctx)
+        for term in method_terms(coeffs, n1, n2):
+            total += term
+        return total
+
+    return total_time
+
+
+@_formula("TimeNext", "avg-per-tuple", own=("TotalTime", "TimeFirst", "CountObject"))
+def _time_next(ctx) -> Value:
+    """Catch-all ``TimeNext = (TotalTime - TimeFirst) / CountObject``."""
+    total = ctx.own_value("TotalTime")
+    first = ctx.own_value("TimeFirst")
+    count = max(1.0, ctx.own_value("CountObject"))
+    return max(0.0, (total - first)) / count
+
+
+# ---------------------------------------------------------------------------
+# Bodies only one rule uses
+# ---------------------------------------------------------------------------
+
+
+@_formula("TotalTime", "seq-scan", own=("CountObject",))
+def _seq_scan_time(ctx) -> Value:
+    coeffs = _coeffs(ctx)
+    count = ctx.own_value("CountObject")
+    return coeffs.ms_scan_startup + count * coeffs.ms_per_object_scanned
+
+
+@_formula("CountObject", "select-card", child=("CountObject",))
+def _select_card(ctx) -> Value:
+    selectivity = predicate_selectivity(ctx, ctx.node.predicate)
+    return ctx.child_value("CountObject") * selectivity
+
+
+@_formula("TotalTime", "index-scan", child=("CountObject",))
+def _index_scan_time(ctx) -> Value:
+    comparison = _single_indexed_comparison(ctx, ctx.node)
+    if comparison is None:
+        return NOT_APPLICABLE
+    coeffs = _coeffs(ctx)
+    selectivity = predicate_selectivity(ctx, ctx.node.predicate)
+    base_count = ctx.child_value("CountObject")
+    selected = selectivity * base_count
+    return coeffs.ms_index_startup + selected * coeffs.ms_per_object_index
+
+
+@_formula("TimeFirst", "index-scan-first")
+def _index_scan_first(ctx) -> Value:
+    if _single_indexed_comparison(ctx, ctx.node) is None:
+        return NOT_APPLICABLE
+    return _coeffs(ctx).ms_index_startup
+
+
+@_formula("TotalSize", "project-size", child=("TotalSize",))
+def _project_size(ctx) -> Value:
+    node = ctx.node
+    stats = ctx.primary_stats_or_none()
+    if stats is not None and stats.attributes:
+        fraction = min(1.0, len(node.attributes) / len(stats.attributes))
+    else:
+        fraction = 0.5
+    return ctx.child_value("TotalSize") * fraction
+
+
+@_formula("TotalTime", "sort-time", child=("TotalTime", "CountObject"))
+def _sort_time(ctx) -> Value:
+    coeffs = _coeffs(ctx)
+    count = ctx.child_value("CountObject")
+    return ctx.child_value("TotalTime") + coeffs.ms_sort_factor * count * math.log2(
+        count + 2.0
+    )
+
+
+@_formula("CountObject", "agg-card", child=("CountObject",))
+def _aggregate_card(ctx) -> Value:
+    node = ctx.node
+    child_count = ctx.child_value("CountObject")
+    if not node.group_by:
+        return 1.0
+    stats = ctx.primary_stats_or_none()
+    groups = 1.0
+    for attribute in node.group_by:
+        attr_stats = None
+        if stats is not None and attribute in stats.attributes:
+            attr_stats = stats.attributes[attribute]
+        if attr_stats is not None and attr_stats.count_distinct:
+            groups *= attr_stats.count_distinct
+        else:
+            groups *= math.sqrt(max(1.0, child_count))
+    return min(child_count, groups)
+
+
+@_formula("CountObject", "join-card", child=("CountObject",))
+def _join_card(ctx) -> Value:
+    selectivity = _join_selectivity(ctx, ctx.node)
+    return (
+        ctx.child_value("CountObject", 0)
+        * ctx.child_value("CountObject", 1)
+        * selectivity
+    )
+
+
+def _sort_merge_terms(coeffs, n1: float, n2: float) -> tuple[float, ...]:
+    sort_cost = coeffs.ms_sort_factor * (
+        n1 * math.log2(n1 + 2.0) + n2 * math.log2(n2 + 2.0)
+    )
+    return (sort_cost, (n1 + n2) * coeffs.ms_per_object_merge)
+
+
+# Not an :func:`_unindexed_join`: the right input is probed, never scanned,
+# so only the left input's time is paid and there is no wave to overlap.
+@_formula("TotalTime", "index-join", child=("TotalTime", "CountObject"))
+def _index_join_time(ctx) -> Value:
+    right_stats = _join_index(ctx, ctx.node)
+    if right_stats is None:
+        return NOT_APPLICABLE
+    coeffs = _coeffs(ctx)
+    n1 = ctx.child_value("CountObject", 0)
+    n2 = ctx.child_value("CountObject", 1)
+    matches_per_probe = n2 / max(1.0, float(right_stats.count_distinct or n2))
+    probe_cost = coeffs.ms_per_probe_index_join + (
+        matches_per_probe * coeffs.ms_per_object_fetch
+    )
+    return ctx.child_value("TotalTime", 0) + n1 * probe_cost
+
+
+def _inner_count(ctx) -> float:
+    """Cardinality of a bind join's inner collection (§6 standard value
+    when the catalog lacks it)."""
+    inner = ctx.stats_or_none(ctx.node.inner_collection)
+    return float(inner.count_object if inner is not None else STANDARD_COUNT_OBJECT)
+
+
+@_formula("CountObject", "bindjoin-card", child=("CountObject",))
+def _bindjoin_card(ctx) -> Value:
+    node: BindJoin = ctx.node
+    inner_count = _inner_count(ctx)
+    inner_attr = ctx.attribute_stats(node.inner_collection, node.inner_attribute.name)
+    distinct = float(
+        inner_attr.count_distinct
+        if inner_attr is not None and inner_attr.count_distinct
+        else STANDARD_COUNT_DISTINCT
+    )
+    matches_per_key = inner_count / max(1.0, distinct)
+    selectivity = 1.0
+    if node.inner_filters is not None:
+        selectivity = predicate_selectivity(ctx, node.inner_filters)
+    return ctx.child_value("CountObject") * matches_per_key * selectivity
+
+
+def _bindjoin_width(ctx) -> float:
+    inner = ctx.stats_or_none(ctx.node.inner_collection)
+    inner_width = float(
+        inner.object_size if inner is not None else STANDARD_OBJECT_SIZE
+    )
+    return ctx.child_value("ObjectSize") + inner_width
+
+
+@_formula("TotalTime", "bind-join", child=("TotalTime", "CountObject"))
+def _bindjoin_time(ctx) -> Value:
+    node: BindJoin = ctx.node
+    inner_attr = ctx.attribute_stats(node.inner_collection, node.inner_attribute.name)
+    if inner_attr is None or not inner_attr.indexed:
+        # Probing without an index means one inner scan per batch —
+        # never competitive; let the classic join win.
+        return NOT_APPLICABLE
+    inner_coeffs = ctx.coefficients.for_source(node.wrapper)
+    # Estimated distinct outer join-key values to probe with.
+    keys = ctx.child_value("CountObject")
+    outer_attr = ctx.attribute_stats(
+        node.outer_attribute.collection or node.outer.primary_collection(),
+        node.outer_attribute.name,
+    )
+    if outer_attr is not None and outer_attr.count_distinct:
+        keys = min(keys, float(outer_attr.count_distinct))
+    inner_count = _inner_count(ctx)
+    matches_per_key = inner_count / max(
+        1.0, float(inner_attr.count_distinct or inner_count)
+    )
+    # Each probe is one index lookup at the inner source; the
+    # calibrated per-selected-object index coefficient (fitted by the
+    # [GST96] procedure) prices the retrieved objects.
+    probe_cost = inner_coeffs.ms_index_startup / max(
+        1.0, node.batch_size
+    ) + matches_per_key * max(
+        inner_coeffs.ms_per_object_index, inner_coeffs.ms_per_object_fetch
+    )
+    batches = math.ceil(keys / node.batch_size)
+    communication = 2.0 * batches * ctx.coefficients.mediator.ms_per_message
+    probe_time = keys * probe_cost
+    if ctx.execution.parallel_submits and batches > 1:
+        # Probe batches dispatch as one wave: the inner-source waits
+        # overlap (communication stays serialized at the mediator).  Not a
+        # :func:`_wave_total`: the probes are not plan children, so there
+        # is no per-child time to split — the waits are priced directly.
+        batch_keys = [float(node.batch_size)] * (batches - 1)
+        batch_keys.append(keys - node.batch_size * (batches - 1))
+        probe_time = _makespan(ctx, [k * probe_cost for k in batch_keys])
+    return ctx.child_value("TotalTime") + communication + probe_time
+
+
+@_formula("TotalTime", "union-time", child=_INPUT_READS, own=("CountObject",))
+def _union_time(ctx) -> Value:
+    coeffs = _coeffs(ctx)
+    count = ctx.own_value("CountObject")
+    return _inputs_total(ctx) + count * coeffs.ms_per_object_output
+
+
+@_formula("TotalTime", "submit-time", child=("TotalTime", "TotalSize"))
+def _submit_time(ctx) -> Value:
+    coeffs = _coeffs(ctx)
+    return (
+        ctx.child_value("TotalTime")
+        + 2.0 * coeffs.ms_per_message
+        + ctx.child_value("TotalSize") * coeffs.ms_per_byte
+    )
+
+
+@_formula("TotalTime", "scatter-wave", child=_INPUT_READS)
+def _scatter_time(ctx) -> Value:
     """Cost of fanning one subquery out to the shards of a partition.
 
-    The scatter is mediator-executed: its branches dispatch as one
-    submit wave, so input time is the PR 1 list-scheduled makespan of
-    the per-branch wrapper waits plus the (serialized) per-branch
-    communication — the same decomposition as
-    :func:`_parallel_children_total` — scaled by a fan-out factor that
-    interpolates from 1 (single pruned branch) to
-    :data:`SCATTER_NETWORK_MULTIPLIER` (all ``total_shards`` branches).
+    The scatter is mediator-executed and its branches always dispatch as
+    one submit wave — :func:`_wave_total` with each branch its own Submit —
+    with the communication scaled by a fan-out factor that interpolates
+    from 1 (single pruned branch) to :data:`SCATTER_NETWORK_MULTIPLIER`
+    (all ``total_shards`` branches).
     """
-    pattern = unary_pattern("scatter", var("C"))
+    node = ctx.node
+    fanout = 1.0 + (SCATTER_NETWORK_MULTIPLIER - 1.0) * (
+        len(node.branches) - 1
+    ) / max(1, node.total_shards - 1)
+    return _wave_total(ctx, [(branch,) for branch in node.branches], fanout)
 
-    def count_object(ctx) -> Value:
-        return sum(
-            ctx.child_value("CountObject", index)
-            for index in range(len(ctx.node.children))
-        )
 
-    def total_size(ctx) -> Value:
-        return sum(
-            ctx.child_value("TotalSize", index)
-            for index in range(len(ctx.node.children))
-        )
+@_formula("TimeFirst", "scatter-first", child=("TimeFirst",), own=("TotalTime",))
+def _scatter_first(ctx) -> Value:
+    # A lone pruned branch streams like the plain submit it wraps;
+    # a true fan-out gathers in branch order, so conservatively the
+    # first row waits for the whole wave.
+    if len(ctx.node.children) == 1:
+        return ctx.child_value("TimeFirst", 0)
+    return ctx.own_value("TotalTime")
 
-    def _branch_costs(ctx) -> tuple[list[float], float]:
-        coeffs = _mediator_coeffs(ctx)
-        waits: list[float] = []
-        communication = 0.0
-        for index in range(len(ctx.node.children)):
-            total = ctx.child_value("TotalTime", index)
-            size = ctx.child_value("TotalSize", index)
-            comm = min(
-                total, 2.0 * coeffs.ms_per_message + size * coeffs.ms_per_byte
-            )
-            communication += comm
-            waits.append(total - comm)
-        return waits, communication
 
-    def _fanout_overhead(node) -> float:
-        fanned = len(node.branches)
-        total = node.total_shards
-        return 1.0 + (SCATTER_NETWORK_MULTIPLIER - 1.0) * (fanned - 1) / max(
-            1, total - 1
-        )
+# ---------------------------------------------------------------------------
+# The model: every rule, as a declaration over the shapes above
+# ---------------------------------------------------------------------------
 
-    def total_time(ctx) -> Value:
-        waits, communication = _branch_costs(ctx)
-        makespan = ParallelClock.makespan(
-            waits, getattr(ctx.options, "max_concurrency", None)
-        )
-        return makespan + _fanout_overhead(ctx.node) * communication
+_C, _C1, _C2 = var("C"), var("C1"), var("C2")
 
-    def time_first(ctx) -> Value:
-        # A lone pruned branch streams like the plain submit it wraps;
-        # a true fan-out gathers in branch order, so conservatively the
-        # first row waits for the whole wave.
-        if len(ctx.node.children) == 1:
-            return ctx.child_value("TimeFirst", 0)
-        return ctx.own_value("TotalTime")
 
+def _complete(suffix: str, head: OperatorPattern, *four: PythonFormula):
+    """A rule that provides every variable: its own four formulas plus the
+    catch-all ``TimeNext``."""
+    return suffix, head, (*four, _time_next)
+
+
+#: ``(name suffix, head, body)`` in installation order — same-level rules
+#: race in this order (§4.2 Step 3).  Formulas hold no state, so the one
+#: table serves every scope and every repository.
+_MODEL: tuple[tuple[str, OperatorPattern, tuple[PythonFormula, ...]], ...] = (
+    _complete(
+        "scan",
+        scan_pattern(_C),
+        _catalog_statistic("CountObject", "scan-card", "count_object"),
+        _catalog_statistic("TotalSize", "scan-size", "total_size"),
+        _formula("TimeFirst", "scan-first", lambda ctx: _coeffs(ctx).ms_scan_startup),
+        _seq_scan_time,
+    ),
+    # Unary operators, two cases (§2.3): the sequential rule is complete,
+    # the index rule races it on the two time variables.
+    _complete(
+        "select-seq",
+        select_pattern(_C),
+        _select_card,
+        _own_count_times("select-size"),
+        _carry("TimeFirst", "select-seq-first"),
+        _per_object_surcharge("seq-filter", "ms_per_object_filter"),
+    ),
+    ("select-index", select_pattern(_C), (_index_scan_time, _index_scan_first)),
+    _complete(
+        "project",
+        unary_pattern("project", _C),
+        _carry("CountObject", "project-card"),
+        _project_size,
+        _carry("TimeFirst", "project-first"),
+        _per_object_surcharge("project-time", "ms_per_object_project"),
+    ),
+    _complete(
+        "sort",
+        unary_pattern("sort", _C),
+        _carry("CountObject", "sort-card"),
+        _carry("TotalSize", "sort-size"),
+        _sort_time,
+        _blocking_first("sort-first"),
+    ),
+    _complete(
+        "distinct",
+        unary_pattern("distinct", _C),
+        # Without value statistics of the full tuple, duplicate
+        # elimination keeps everything (conservative upper bound).
+        _carry("CountObject", "distinct-card"),
+        _own_count_times("distinct-size"),
+        _per_object_surcharge("distinct-time", "ms_per_object_hash"),
+        _blocking_first("distinct-first"),
+    ),
+    _complete(
+        "aggregate",
+        unary_pattern("aggregate", _C),
+        _aggregate_card,
+        _own_count_times(
+            "agg-size",
+            lambda ctx: 16.0 * (len(ctx.node.group_by) + len(ctx.node.aggregates)),
+            child=(),
+        ),
+        _per_object_surcharge("agg-time", "ms_per_object_hash"),
+        _blocking_first("agg-first"),
+    ),
+    # Binary operators, three cases (§2.3): the nested-loop rule is
+    # complete, the other two methods race it on TotalTime.
+    _complete(
+        "join-nested-loop",
+        join_pattern(_C1, _C2),
+        _join_card,
+        _own_count_times(
+            "join-size",
+            lambda ctx: ctx.child_value("ObjectSize", 0) + ctx.child_value("ObjectSize", 1),
+        ),
+        _unindexed_join(
+            "nested-loop-join",
+            lambda coeffs, n1, n2: (n1 * n2 * coeffs.ms_per_pair_nested_loop,),
+        ),
+        _first_of_inputs("join-first", operator.add),
+    ),
+    (
+        "join-sort-merge",
+        join_pattern(_C1, _C2),
+        (_unindexed_join("sort-merge-join", _sort_merge_terms),),
+    ),
+    ("join-index", join_pattern(_C1, _C2), (_index_join_time,)),
+    _complete(
+        "bindjoin",
+        unary_pattern("bindjoin", _C),
+        _bindjoin_card,
+        _own_count_times("bindjoin-size", _bindjoin_width),
+        _bindjoin_time,
+        _formula(
+            "TimeFirst",
+            "bindjoin-first",
+            lambda ctx: ctx.child_value("TotalTime")
+            + ctx.coefficients.mediator.ms_per_message,
+            child=("TotalTime",),
+        ),
+    ),
+    _complete(
+        "union",
+        union_pattern(_C1, _C2),
+        _sum_of_children("CountObject", "union-card"),
+        _sum_of_children("TotalSize", "union-size"),
+        _union_time,
+        _first_of_inputs("union-first", min),
+    ),
+    _complete(
+        "submit",
+        unary_pattern("submit", _C),
+        _carry("CountObject", "submit-card"),
+        _carry("TotalSize", "submit-size"),
+        _submit_time,
+        _formula(
+            "TimeFirst",
+            "submit-first",
+            lambda ctx: ctx.child_value("TimeFirst") + _coeffs(ctx).ms_per_message,
+            child=("TimeFirst",),
+        ),
+    ),
+    _complete(
+        "scatter",
+        unary_pattern("scatter", _C),
+        _sum_of_children("CountObject", "scatter-card"),
+        _sum_of_children("TotalSize", "scatter-size"),
+        _scatter_time,
+        _scatter_first,
+    ),
+)
+
+
+def all_generic_rules(prefix: str = "generic") -> list[CostRule]:
+    """Fresh rule instances of the whole model, named ``<prefix>-<rule>``."""
     return [
-        _rule(
-            pattern,
-            [
-                _native(
-                    "CountObject",
-                    count_object,
-                    "scatter-card",
-                    child_req=("CountObject",),
-                ),
-                _native(
-                    "TotalSize", total_size, "scatter-size", child_req=("TotalSize",)
-                ),
-                _native(
-                    "TotalTime",
-                    total_time,
-                    "scatter-wave",
-                    child_req=("TotalTime", "TotalSize"),
-                ),
-                _native(
-                    "TimeFirst",
-                    time_first,
-                    "scatter-first",
-                    child_req=("TimeFirst",),
-                    own_req=("TotalTime",),
-                ),
-                _time_next_formula(),
-            ],
-            name="generic-scatter",
-        )
+        CostRule(head=head, formulas=list(body), name=f"{prefix}-{suffix}")
+        for suffix, head, body in _MODEL
     ]
-
-
-def all_generic_rules() -> list[CostRule]:
-    """Fresh instances of every generic-model rule."""
-    return (
-        _scan_rules()
-        + _select_rules()
-        + _project_rules()
-        + _sort_rules()
-        + _distinct_rules()
-        + _aggregate_rules()
-        + _join_rules()
-        + _bindjoin_rules()
-        + _union_rules()
-        + _submit_rules()
-        + _scatter_rules()
-    )
 
 
 def install_generic_model(repository: RuleRepository) -> int:
@@ -1177,20 +883,20 @@ def install_generic_model(repository: RuleRepository) -> int:
 
 
 def install_local_model(repository: RuleRepository) -> int:
-    """Install local-scope copies for mediator-executed operators.
+    """Install the model at local scope for mediator-executed operators.
 
     Local rules shadow the default scope only for nodes the mediator runs
     itself (source ``None``); their coefficients come from
     ``CoefficientSet.mediator`` automatically via ``_coeffs``, so the rule
-    bodies are identical — what differs is the coefficient set the context
-    hands out.  Installing them still matters for the paper's architecture
-    point: the mediator's physical operators occupy a distinct scope level
-    (§4.1 footnote), and wrapper rules must never apply to them.
+    bodies are the default scope's own — what differs is the coefficient
+    set the context hands out.  Installing them still matters for the
+    paper's architecture point: the mediator's physical operators occupy a
+    distinct scope level (§4.1 footnote), and wrapper rules must never
+    apply to them.
     """
-    rules = all_generic_rules()
-    for generic_rule in rules:
-        generic_rule.name = generic_rule.name.replace("generic-", "local-")
-        repository.add_local_rule(generic_rule)
+    rules = all_generic_rules("local")
+    for local_rule in rules:
+        repository.add_local_rule(local_rule)
     return len(rules)
 
 

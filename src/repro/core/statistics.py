@@ -34,6 +34,12 @@ COLLECTION_STATISTICS = ("CountObject", "TotalSize", "ObjectSize")
 #: Statistic names valid at attribute level (Figure 7).
 ATTRIBUTE_STATISTICS = ("Indexed", "CountDistinct", "Min", "Max")
 
+#: Statistics assumed for collections and attributes absent from the
+#: catalog (§6: "In case they are not provided, standard values are given").
+STANDARD_COUNT_OBJECT = 1000
+STANDARD_OBJECT_SIZE = 100
+STANDARD_COUNT_DISTINCT = 100
+
 
 class Constant:
     """Polymorphic constant for attribute Min/Max values (§3.2).

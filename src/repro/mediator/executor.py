@@ -62,8 +62,6 @@ class ExecutorOptions:
     #: Memoize identical wrapper subqueries (by plan fingerprint) within
     #: and across queries; hits skip wrapper execution entirely.
     cache_subanswers: bool = False
-    #: Entry bound of the subanswer cache (FIFO eviction).
-    cache_max_entries: int = 1024
     #: Fault-tolerance policies (retry/backoff/deadline, circuit
     #: breakers, strict-vs-partial failure mode).  ``None`` installs
     #: none: a submit gets one attempt and a wrapper fault is re-raised
@@ -90,7 +88,7 @@ class MediatorExecutor:
         self.catalog = catalog
         self.options = options if options is not None else ExecutorOptions()
         if cache is None and self.options.cache_subanswers:
-            cache = SubanswerCache(max_entries=self.options.cache_max_entries)
+            cache = SubanswerCache()
         self.cache = cache
         if scheduler is None:
             scheduler = SubmitScheduler(
@@ -117,6 +115,10 @@ class MediatorExecutor:
         self._prefetched: dict[int, DispatchOutcome] = {}
         #: Submit failures of the current execution (partial mode only).
         self._failures: list[SubmitFailure] = []
+        #: Submits the current execution dispatched, and how many of them
+        #: the subanswer cache served.
+        self._dispatched = 0
+        self._cache_hits = 0
         #: Telemetry sink; defaults to the shared no-op tracer.
         self.tracer: SpanTracer = NULL_TRACER
         self._trace_compose = False
@@ -137,8 +139,7 @@ class MediatorExecutor:
         self._submit_log = []
         self._prefetched = {}
         self._failures = []
-        hits_before = self.cache.stats.hits if self.cache is not None else 0
-        misses_before = self.cache.stats.misses if self.cache is not None else 0
+        self._dispatched = self._cache_hits = 0
         saved_before = self.scheduler.parallel.stats.saved_ms
         resilience_before = (
             self.scheduler.resilience_stats.copy()
@@ -159,13 +160,9 @@ class MediatorExecutor:
             total_time_ms=total,
             time_first_ms=time_first,
             submit_log=list(self._submit_log),
-            cache_hits=(
-                self.cache.stats.hits - hits_before if self.cache is not None else 0
-            ),
+            cache_hits=self._cache_hits,
             cache_misses=(
-                self.cache.stats.misses - misses_before
-                if self.cache is not None
-                else 0
+                self._dispatched - self._cache_hits if self.cache is not None else 0
             ),
             parallel_saved_ms=self.scheduler.parallel.stats.saved_ms - saved_before,
             partial=(
@@ -196,11 +193,26 @@ class MediatorExecutor:
         submits = [node for node in plan.walk() if isinstance(node, Submit)]
         if not submits:
             return
-        outcomes = self.scheduler.dispatch_wave(submits)
+        outcomes = self._dispatch(submits, wave=True)
         self._prefetched = {
             submit.node_id: outcome
             for submit, outcome in zip(submits, outcomes)
         }
+
+    def _dispatch(
+        self, submits: "list[Submit]", wave: bool
+    ) -> "list[DispatchOutcome]":
+        """Every submit of the execution goes to the scheduler through
+        here, so the cache activity it reports is this query's own: each
+        submit is one cache lookup, a hit when the outcome says so.  (The
+        cache's own counters are shared by every query in flight.)"""
+        if wave:
+            outcomes = self.scheduler.dispatch_wave(submits)
+        else:
+            outcomes = [self.scheduler.dispatch_one(submit) for submit in submits]
+        self._dispatched += len(outcomes)
+        self._cache_hits += sum(outcome.cached for outcome in outcomes)
+        return outcomes
 
     # -- operators ---------------------------------------------------------------
 
@@ -275,7 +287,7 @@ class MediatorExecutor:
     def _submit_rows(self, node: Submit) -> Sequence[Row]:
         outcome = self._prefetched.pop(node.node_id, None)
         if outcome is None:
-            outcome = self.scheduler.dispatch_one(node)
+            (outcome,) = self._dispatch([node], wave=False)
         if outcome.failed:
             self._register_failure(outcome)
             # Partial mode: the missing subtree contributes zero rows —
@@ -318,7 +330,7 @@ class MediatorExecutor:
                 self._prefetched.pop(branch.node_id) for branch in node.branches
             ]
         else:
-            outcomes = self.scheduler.dispatch_wave(list(node.branches))
+            outcomes = self._dispatch(list(node.branches), wave=True)
         for outcome in outcomes:
             if outcome.failed:
                 self._register_failure(outcome)
@@ -353,10 +365,9 @@ class MediatorExecutor:
             probes.append(Submit(subplan, node.wrapper))
         # The probe batches are mutually independent: one wave when the
         # executor is parallel, one dispatch each otherwise.
-        if self.options.parallel_submits and len(probes) > 1:
-            outcomes = self.scheduler.dispatch_wave(probes)
-        else:
-            outcomes = [self.scheduler.dispatch_one(probe) for probe in probes]
+        outcomes = self._dispatch(
+            probes, wave=self.options.parallel_submits and len(probes) > 1
+        )
         inner_by_key: dict[Any, list[Row]] = {}
         inner_key = getter(inner_name)
         for outcome in outcomes:

@@ -20,25 +20,19 @@ import json
 from dataclasses import dataclass, field
 
 from repro.algebra.logical import PlanNode
-from repro.core.estimator import CostEstimator, EstimatorOptions, PlanEstimate
+from repro.core.estimator import CostEstimator, PlanEstimate
 from repro.core.generic import CoefficientSet, standard_repository
 from repro.core.history import HistoryStore
-from repro.core.scopes import RuleRepository
 from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.executor import ExecutorOptions, MediatorExecutor
-from repro.mediator.optimizer import (
-    OptimizationResult,
-    Optimizer,
-    OptimizerOptions,
-    OptimizerStats,
-)
+from repro.mediator.optimizer import OptimizationResult, Optimizer, OptimizerStats
 from repro.mediator.queryspec import QuerySpec, UnionSpec
 from repro.mediator.registration import register_wrapper
 from repro.mediator.resilience import PartialAnswer
 from repro.obs import ObservabilityOptions, QueryTelemetry
 from repro.obs.trace import NULL_TRACER, Span, SpanTracer
 from repro.sources.pages import Row
-from repro.wrappers.base import Wrapper
+from repro.wrappers.base import ExecutionResult, Wrapper
 
 
 @dataclass
@@ -92,39 +86,26 @@ class Mediator:
 
     def __init__(
         self,
-        estimator_options: EstimatorOptions | None = None,
-        optimizer_options: OptimizerOptions | None = None,
-        repository: RuleRepository | None = None,
         record_history: bool = False,
         executor_options: ExecutorOptions | None = None,
         observability: ObservabilityOptions | None = None,
     ) -> None:
         self.catalog = MediatorCatalog()
-        self.repository = (
-            repository if repository is not None else standard_repository()
-        )
+        self.repository = standard_repository()
         self.coefficients = CoefficientSet()
         self.estimator = CostEstimator(
             self.repository,
             self.catalog.statistics,
-            options=estimator_options,
             coefficients=self.coefficients,
         )
         # The catalog owns the calibration overlay history; the estimator
         # reads the active version on every wrapper-owned prediction.
         self.estimator.calibration = self.catalog.calibration
-        if executor_options is not None and estimator_options is None:
-            # Keep what the optimizer believes aligned with how the
-            # executor will actually dispatch, unless the caller pinned
-            # the estimator's behaviour explicitly.
-            self.estimator.options.parallel_submits = (
-                executor_options.parallel_submits
-            )
-            self.estimator.options.max_concurrency = (
-                executor_options.max_concurrency
-            )
-        self.optimizer = Optimizer(self.catalog, self.estimator, optimizer_options)
+        self.optimizer = Optimizer(self.catalog, self.estimator)
         self.executor = MediatorExecutor(self.catalog, options=executor_options)
+        # What the optimizer believes about dispatch is what the executor
+        # declares: the estimator reads the executor's own options.
+        self.estimator.execution = self.executor.options
         # Replica plumbing: the optimizer excludes breaker-open members
         # at costing time, and the scheduler ranks failover/hedge
         # candidates with the same cost model the optimizer used.
@@ -258,27 +239,14 @@ class Mediator:
                             degraded=True,
                             missing_wrappers=execution.partial.missing_wrappers,
                         )
-        if self.history is not None:
-            self.history.record_plan(optimized.plan, execution, self.catalog)
-        result = QueryResult(
-            rows=execution.rows,
-            elapsed_ms=execution.total_time_ms,
-            time_first_ms=execution.time_first_ms,
-            plan=optimized.plan,
-            estimate=optimized.estimate,
-            optimizer_stats=optimized.stats,
+        return self.answer(
+            execution,
+            optimized.plan,
+            optimized.estimate,
+            optimized.stats,
             sql=sql,
-            cache_hits=execution.cache_hits,
-            cache_misses=execution.cache_misses,
-            parallel_saved_ms=execution.parallel_saved_ms,
             trace=root if tracer.enabled else None,
-            partial=execution.partial,
         )
-        if self.telemetry is not None:
-            self.telemetry.record_query(
-                result, execution, breakers=self.executor.scheduler.breakers
-            )
-        return result
 
     def execute_plan(self, plan: PlanNode) -> QueryResult:
         """Execute a hand-built plan, bypassing the optimizer."""
@@ -287,6 +255,27 @@ class Mediator:
             estimate = self.estimator.estimate(plan)
             with tracer.span("execute", kind="phase"):
                 execution = self.executor.execute(plan)
+        return self.answer(
+            execution,
+            plan,
+            estimate,
+            OptimizerStats(),
+            trace=root if tracer.enabled else None,
+        )
+
+    def answer(
+        self,
+        execution: ExecutionResult,
+        plan: PlanNode,
+        estimate: PlanEstimate,
+        optimizer_stats: OptimizerStats,
+        sql: str | None = None,
+        trace: Span | None = None,
+    ) -> QueryResult:
+        """The tail of every executed query, whichever entry ran it
+        (:meth:`query`, :meth:`execute_plan`, the serving layer): feed the
+        §4.3.1 history, assemble the client-facing result, record
+        telemetry."""
         if self.history is not None:
             self.history.record_plan(plan, execution, self.catalog)
         result = QueryResult(
@@ -295,11 +284,12 @@ class Mediator:
             time_first_ms=execution.time_first_ms,
             plan=plan,
             estimate=estimate,
-            sql=None,
+            optimizer_stats=optimizer_stats,
+            sql=sql,
             cache_hits=execution.cache_hits,
             cache_misses=execution.cache_misses,
             parallel_saved_ms=execution.parallel_saved_ms,
-            trace=root if tracer.enabled else None,
+            trace=trace,
             partial=execution.partial,
         )
         if self.telemetry is not None:

@@ -78,7 +78,6 @@ class OptimizerOptions:
     #: Consider dependent (bind) joins: probe an indexed inner collection
     #: with the outer side's join keys instead of shipping it whole.
     use_bind_join: bool = True
-    bind_join_batch_size: int = 50
     max_exhaustive_collections: int = 7
     objective: str = "total_time"
 
@@ -706,7 +705,6 @@ class Optimizer:
             inner_attribute=inner_attr,
             wrapper=wrapper.name,
             inner_filters=conjunction(list(filters)) if filters else None,
-            batch_size=self.options.bind_join_batch_size,
         )
         for extra in connecting[1:]:
             plan = Select(plan, extra)

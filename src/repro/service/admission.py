@@ -59,6 +59,11 @@ class TenantPolicy:
             raise ValueError(f"quota must be > 0, got {self.quota}")
 
 
+#: Policy of a tenant without a ``set_policy`` entry.  Shared: read, never
+#: mutated.
+DEFAULT_POLICY = TenantPolicy()
+
+
 @dataclass
 class AdmissionDecision:
     """What the controller decided for one query, and why."""

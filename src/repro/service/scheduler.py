@@ -201,11 +201,17 @@ class _TenantLane:
         self.deficit = 0.0
 
 
+#: Deficit round-robin credit per scheduling round (ms of estimated work),
+#: multiplied by each tenant's quota.  Only the granularity of the credit:
+#: passes fast-forward arithmetically, so the value costs nothing.
+DRR_QUANTUM_MS = 1000.0
+
+
 class FairShareScheduler:
     """Deficit round-robin between tenants over one shared clock.
 
     Each scheduling round credits every backlogged tenant
-    ``drr_quantum_ms * quota`` of deficit; a tenant's head query starts
+    ``DRR_QUANTUM_MS * quota`` of deficit; a tenant's head query starts
     once admission has headroom for it *and* its estimated TotalTime
     fits the accumulated deficit (which is then debited).  Tenants with
     a larger quota accrue deficit faster and therefore win
@@ -218,20 +224,16 @@ class FairShareScheduler:
         shared: SubmitScheduler,
         admission: AdmissionController,
         *,
-        drr_quantum_ms: float = 1000.0,
         wrapper_wave_cap: int | None = None,
         on_start: Callable[[QueryTask], None] | None = None,
         on_complete: Callable[[QueryTask], None] | None = None,
     ) -> None:
-        if drr_quantum_ms <= 0:
-            raise ValueError(f"drr_quantum_ms must be > 0, got {drr_quantum_ms}")
         if wrapper_wave_cap is not None and wrapper_wave_cap < 1:
             raise ValueError(
                 f"wrapper_wave_cap must be >= 1, got {wrapper_wave_cap}"
             )
         self.shared = shared
         self.admission = admission
-        self.drr_quantum_ms = drr_quantum_ms
         self.wrapper_wave_cap = wrapper_wave_cap
         self.on_start = on_start
         self.on_complete = on_complete
@@ -350,7 +352,7 @@ class FairShareScheduler:
                     1,
                     -int(
                         -(lane.queue[0].estimated_ms - lane.deficit)
-                        // (self.drr_quantum_ms * lane.policy.quota)
+                        // (DRR_QUANTUM_MS * lane.policy.quota)
                     ),
                 )
                 for lane in candidates
@@ -358,7 +360,7 @@ class FairShareScheduler:
             self.stats.deficit_credit_passes += passes_needed
             for lane in candidates:
                 lane.deficit += (
-                    passes_needed * self.drr_quantum_ms * lane.policy.quota
+                    passes_needed * DRR_QUANTUM_MS * lane.policy.quota
                 )
         for lane in self._lanes.values():
             if not lane.queue:

@@ -23,11 +23,12 @@ is strict.  Metrics go to the mediator's registry when observability is
 on (so ``expose_text`` shows serving and engine metrics side by side)
 and to a private registry otherwise.
 
-Attribution caveat: per-query ``cache_hits`` / ``parallel_saved_ms``
-deltas are exact when queries run alone but approximate under
-interleaving — the executor snapshots shared counters around its own
-execution window, which overlaps other queries' activity.  Service-level
-metrics (latency, queue wait, admission counters) are always exact.
+Attribution caveat: per-query ``cache_hits`` / ``cache_misses`` are
+exact (each execution counts its own dispatch outcomes), but
+``parallel_saved_ms``, ``resilience`` and ``replication`` are deltas of
+shared counters around the execution window — exact when queries run
+alone, approximate under interleaving.  Service-level metrics (latency,
+queue wait, admission counters) are always exact.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.mediator.mediator import Mediator, QueryResult
 from repro.mediator.optimizer import OptimizationResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.service.admission import AdmissionController, TenantPolicy
+from repro.service.admission import DEFAULT_POLICY, AdmissionController, TenantPolicy
 from repro.service.calibration import CalibrationManager, CalibrationOptions
 from repro.service.plancache import PlanCache
 from repro.service.scheduler import FairShareScheduler, QueryTask, TaskDispatchProxy
@@ -71,13 +72,8 @@ class ServiceOptions:
     plan_cache_entries: int = 256
     #: Max submits per wrapper in one cross-query combined wave.
     wrapper_wave_cap: int | None = None
-    #: Deficit round-robin credit per scheduling round (ms of estimated
-    #: work), multiplied by each tenant's quota.
-    drr_quantum_ms: float = 1000.0
     #: Reject queries whose plans only touch open-breaker wrappers.
     fast_reject_on_open_breakers: bool = True
-    #: Policy for tenants without an explicit ``set_policy`` entry.
-    default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Online cost recalibration on a query-count cadence (§4.3 feedback
     #: loop; see ``docs/calibration.md``).  None = off, the seed path.
     calibration: CalibrationOptions | None = None
@@ -160,7 +156,6 @@ class FederationService:
         self.scheduler = FairShareScheduler(
             mediator.executor.scheduler,
             self.admission,
-            drr_quantum_ms=self.options.drr_quantum_ms,
             wrapper_wave_cap=self.options.wrapper_wave_cap,
             on_start=self._on_task_start,
             on_complete=self._on_task_complete,
@@ -216,7 +211,7 @@ class FederationService:
         self.policies[tenant] = policy
 
     def policy_for(self, tenant: str) -> TenantPolicy:
-        return self.policies.get(tenant, self.options.default_policy)
+        return self.policies.get(tenant, DEFAULT_POLICY)
 
     # -- submission ------------------------------------------------------------
 
@@ -420,45 +415,28 @@ class FederationService:
             callback(ticket)
 
     def _finalize(self, task: QueryTask) -> QueryResult:
-        """Mirror the tail of ``Mediator.query``: feed history and
-        telemetry, then assemble the client-facing result."""
-        mediator = self.mediator
+        """The shared answer tail (:meth:`Mediator.answer`) plus what only
+        the service knows: the ticket timeline and the calibration feed."""
         optimized: OptimizationResult = task.optimized
         execution = task.execution
         assert execution is not None
-        if mediator.history is not None:
-            mediator.history.record_plan(
-                optimized.plan, execution, mediator.catalog
-            )
         trace = None
         if task.tracer is not None and task.tracer.roots:
             trace = task.tracer.roots[0]
-        result = QueryResult(
-            rows=execution.rows,
-            elapsed_ms=execution.total_time_ms,
-            time_first_ms=execution.time_first_ms,
-            plan=optimized.plan,
-            estimate=optimized.estimate,
-            optimizer_stats=optimized.stats,
+        result = self.mediator.answer(
+            execution,
+            optimized.plan,
+            optimized.estimate,
+            optimized.stats,
             sql=task.sql,
-            cache_hits=execution.cache_hits,
-            cache_misses=execution.cache_misses,
-            parallel_saved_ms=execution.parallel_saved_ms,
             trace=trace,
-            partial=execution.partial,
         )
-        if mediator.telemetry is not None:
-            mediator.telemetry.record_query(
-                result,
-                execution,
-                breakers=mediator.executor.scheduler.breakers,
-            )
-            profile = result.profile
-            if profile is not None:
-                # The ticket's admission lifecycle (submit/queue/start/
-                # finish) becomes the profile's timeline — queueing is
-                # part of the latency story the flight recorder tells.
-                profile.timeline.extend(dict(event) for event in task.ticket.events)
+        profile = result.profile
+        if profile is not None:
+            # The ticket's admission lifecycle (submit/queue/start/
+            # finish) becomes the profile's timeline — queueing is
+            # part of the latency story the flight recorder tells.
+            profile.timeline.extend(dict(event) for event in task.ticket.events)
         if self.calibration is not None:
             # Feed the measured query into the calibration window; on
             # cadence this fits and (via the catalog-version bump)

@@ -21,7 +21,12 @@ from repro.core.rules import (
     var,
 )
 from repro.core.scopes import RuleRepository
-from repro.core.statistics import AttributeStats, CollectionStats, StatisticsCatalog
+from repro.core.statistics import (
+    STANDARD_COUNT_OBJECT,
+    AttributeStats,
+    CollectionStats,
+    StatisticsCatalog,
+)
 from repro.errors import FormulaError, NoApplicableRuleError
 
 
@@ -92,7 +97,7 @@ class TestGenericEstimates:
     def test_unknown_collection_uses_standard_values(self, catalog):
         estimator = make_estimator(catalog)
         result = estimator.estimate(scan("Mystery").build(), default_source="w")
-        assert result.root.count_object == estimator.options.default_count_object
+        assert result.root.count_object == STANDARD_COUNT_OBJECT
 
     def test_join_cardinality(self, catalog):
         estimator = make_estimator(catalog)

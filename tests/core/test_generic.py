@@ -1,13 +1,11 @@
 """Unit tests for the generic cost model's individual rules (§2.3)."""
 
-import math
-
 import pytest
 
 from repro.algebra.builders import count_star, scan
 from repro.algebra.expressions import Comparison, attr, lit
-from repro.algebra.logical import Join, Scan, Select
-from repro.core.estimator import CostEstimator, EstimatorOptions
+from repro.algebra.logical import BindJoin, Join, Scan, Scatter, Select, Submit
+from repro.core.estimator import CostEstimator, _Estimation, _NodeContext
 from repro.core.generic import (
     CoefficientSet,
     GenericCoefficients,
@@ -16,12 +14,12 @@ from repro.core.generic import (
     install_generic_model,
     standard_repository,
 )
-from repro.core.scopes import RuleRepository
+from repro.core.scopes import MEDIATOR_SOURCE, RuleRepository, Scope
 from repro.core.statistics import AttributeStats, CollectionStats, StatisticsCatalog
+from repro.mediator.executor import ExecutorOptions
 
 
-@pytest.fixture
-def catalog():
+def make_catalog():
     cat = StatisticsCatalog()
     cat.put(
         CollectionStats.from_extent(
@@ -45,7 +43,17 @@ def catalog():
             ],
         )
     )
+    cat.put(
+        CollectionStats.from_extent(
+            "T", 40, 60, attributes=[AttributeStats("c", count_distinct=20)]
+        )
+    )
     return cat
+
+
+@pytest.fixture
+def catalog():
+    return make_catalog()
 
 
 @pytest.fixture
@@ -223,3 +231,142 @@ class TestInstallers:
         assert coefficients.for_source("other") is coefficients.default
         assert coefficients.for_source(None) is coefficients.mediator
         assert coefficients.sources() == ["w"]
+
+
+class _RecordingEstimation(_Estimation):
+    """An estimation that notes the reads the formula under evaluation
+    makes itself (depth 0), not those of the formulas they set off."""
+
+    def __init__(self, estimator, table):
+        super().__init__(estimator, table, None)
+        self.depth = 0
+        self.reads = []
+
+    def value_of(self, node, variable):
+        if self.depth == 0:
+            self.reads.append((node, variable))
+        self.depth += 1
+        try:
+            return super().value_of(node, variable)
+        finally:
+            self.depth -= 1
+
+
+def _sample_plans():
+    """(plan, owning source) pairs that between them reach every generic
+    formula and both sides of each formula's branches."""
+
+    def submit(collection, wrapper):
+        return Submit(Scan(collection), wrapper)
+
+    def join(left, right, left_attr, right_attr):
+        return Join(left, right, Comparison("=", left_attr, right_attr))
+
+    def bindjoin(inner_attribute):
+        return BindJoin(
+            submit("T", "w2"),
+            attr("c", "T"),
+            "R",
+            attr(inner_attribute, "R"),
+            wrapper="w1",
+            batch_size=4,
+        )
+
+    branches = [
+        Submit(Scan("R"), f"shard{i}", shard=i, shard_of="R") for i in range(2)
+    ]
+    return [
+        (scan("R").where_eq("a", 5).build(), "w"),  # index path applies
+        (scan("R").where_eq("b", 5).keep("a").build(), "w"),  # and does not
+        (scan("R").order_by("a").distinct().build(), "w"),
+        (scan("R").aggregate(["a", "b"], [count_star()]).build(), "w"),
+        (scan("R").aggregate([], [count_star()]).build(), "w"),
+        (join(Scan("R"), Scan("S"), attr("a", "R"), attr("a", "S")), "w"),
+        (join(Scan("R"), Scan("T"), attr("b", "R"), attr("c", "T")), "w"),
+        (scan("R").union(scan("R")).build(), "w"),
+        (
+            join(submit("R", "w1"), submit("T", "w2"), attr("b", "R"), attr("c", "T")),
+            None,
+        ),
+        (scan("R").submit_to("w1").union(scan("T").submit_to("w2")).build(), None),
+        (bindjoin("a"), None),  # indexed inner attribute: probes priced
+        (bindjoin("b"), None),  # unindexed: not applicable
+        (Scatter(branches, "R", "a", total_shards=3), None),
+        (Scatter(branches[:1], "R", "a", total_shards=3), None),
+    ]
+
+
+@pytest.fixture(scope="module")
+def observed_reads():
+    """rule name -> formula text -> [(own reads, reads of other nodes)],
+    over every sample plan under the sequential and the wave execution
+    model."""
+    observed: dict[str, dict[str, list]] = {}
+    for execution in (
+        ExecutorOptions(),
+        ExecutorOptions(parallel_submits=True, max_concurrency=2),
+    ):
+        estimator = CostEstimator(standard_repository(), make_catalog())
+        estimator.execution = execution
+        # Wrapper-owned samples are also costed as the mediator's own
+        # (source None), where the local-scope rules apply.
+        samples = _sample_plans()
+        samples += [(plan, None) for plan, source in _sample_plans() if source]
+        for plan, source in samples:
+            table = {}
+            for entry in CostEstimator._enter(plan, source, table):
+                node = entry.node
+                for match in estimator.repository.matches(node, entry.source):
+                    for formula in match.rule.formulas:
+                        estimation = _RecordingEstimation(estimator, table)
+                        formula.evaluate(
+                            _NodeContext(estimation, node, entry.source, match)
+                        )
+                        own = {v for n, v in estimation.reads if n is node}
+                        other = {v for n, v in estimation.reads if n is not node}
+                        observed.setdefault(match.rule.name, {}).setdefault(
+                            formula.source, []
+                        ).append((own, other))
+    return observed
+
+
+class TestDeclaredRequirements:
+    @pytest.mark.parametrize(
+        "rule_name, formula",
+        [
+            pytest.param(r.name, f, id=f"{r.name}:{f.source}")
+            for prefix in ("generic", "local")
+            for r in all_generic_rules(prefix)
+            for f in r.formulas
+        ],
+    )
+    def test_formula_reads_only_what_it_declares(
+        self, observed_reads, rule_name, formula
+    ):
+        """The builders own the declaration: whatever a body reads of its
+        own node or of the nodes beneath it is in its requirements."""
+        evaluations = observed_reads.get(rule_name, {}).get(formula.source)
+        assert evaluations, "no sample plan evaluates this formula"
+        for own, other in evaluations:
+            assert own <= formula.own_requirements
+            assert other <= formula.child_requirements
+
+    def test_local_scope_is_the_default_scope_renamed(self):
+        scoped = standard_repository().rules_for_source(MEDIATOR_SOURCE)
+        default = [s for s in scoped if s.scope is Scope.DEFAULT]
+        local = [s for s in scoped if s.scope is Scope.LOCAL]
+        assert len(default) + len(local) == len(scoped)
+
+        def shape(rules, prefix):
+            assert all(s.rule.name.startswith(prefix) for s in rules)
+            return [
+                (
+                    s.rule.name.removeprefix(prefix),
+                    s.rule.head,
+                    s.order,
+                    [f.source for f in s.rule.formulas],
+                )
+                for s in rules
+            ]
+
+        assert shape(local, "local-") == shape(default, "generic-")

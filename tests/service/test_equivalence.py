@@ -37,10 +37,10 @@ ARMED = ResilienceOptions(
 )
 
 
-def build_mediator(resilience=None, inject=False, parallel=False):
+def build_mediator(resilience=None, inject=False, parallel=False, cache=False):
     mediator = Mediator(
         executor_options=ExecutorOptions(
-            resilience=resilience, parallel_submits=parallel
+            resilience=resilience, parallel_submits=parallel, cache_subanswers=cache
         )
     )
     for wrapper in (build_oo7_wrapper(), build_sales_wrapper()):
@@ -158,3 +158,44 @@ class TestServiceBookkeepingAtConcurrencyOne:
         )
         assert len(via_service.history) == len(direct.history)
         assert len(via_service.history) > 0
+
+
+class TestPerQueryCacheCounters:
+    """``cache_hits`` / ``cache_misses`` are the query's own lookups, however
+    many other queries share the subanswer cache while it runs."""
+
+    #: Three subqueries, each asked twice: the repeats are cache hits.
+    QUERIES = [
+        "SELECT * FROM Suppliers WHERE city = 'city0'",
+        "SELECT * FROM Suppliers WHERE city = 'city1'",
+        "SELECT * FROM AtomicParts, Suppliers WHERE AtomicParts.type = "
+        "Suppliers.partType AND Suppliers.city = 'city1'",
+    ] * 2
+
+    def through_service(self, concurrency):
+        mediator = build_mediator(parallel=True, cache=True)
+        service = FederationService(
+            mediator,
+            ServiceOptions(max_concurrent_queries=concurrency, plan_cache=False),
+        )
+        session = service.open_session("tenant")
+        tickets = [service.submit(session, sql) for sql in self.QUERIES]
+        service.run()
+        counters = [(t.result.cache_hits, t.result.cache_misses) for t in tickets]
+        return counters, mediator.executor.cache.stats
+
+    def test_tickets_partition_the_lifetime_lookups_at_concurrency_eight(self):
+        counters, lifetime = self.through_service(concurrency=8)
+        assert lifetime.hits > 0 and lifetime.misses > 0
+        assert sum(hits for hits, _ in counters) == lifetime.hits
+        assert sum(misses for _, misses in counters) == lifetime.misses
+
+    def test_equal_to_direct_queries_at_concurrency_one(self):
+        direct = build_mediator(parallel=True, cache=True)
+        expected = [
+            (result.cache_hits, result.cache_misses)
+            for result in map(direct.query, self.QUERIES)
+        ]
+        counters, lifetime = self.through_service(concurrency=1)
+        assert counters == expected
+        assert lifetime == direct.executor.cache.stats
