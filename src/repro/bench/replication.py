@@ -238,7 +238,7 @@ def _run_availability(replicated: bool, rounds: int) -> AvailabilityResult:
         else:
             arm.complete += 1
     stats = mediator.executor.scheduler.replica_stats
-    arm.failovers = stats.total_failovers
+    arm.failovers = stats.total("failovers")
     arm.replica_served = stats.selected.get("store_b", 0)
     return arm
 
@@ -261,8 +261,8 @@ def _run_hedge_cell(delay_ms: float | None, rounds: int, seed: int) -> HedgeCell
     cell.p50_ms = percentile(latencies, 0.50)
     cell.p99_ms = percentile(latencies, 0.99)
     stats = mediator.executor.scheduler.replica_stats
-    cell.hedges_launched = stats.total_hedges_launched
-    cell.hedges_won = stats.total_hedges_won
+    cell.hedges_launched = stats.total("hedges_launched")
+    cell.hedges_won = stats.total("hedges_won")
     assert replica is not None
     cell.wrapper_executions = primary.log.executions + replica.log.executions
     return cell

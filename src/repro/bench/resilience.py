@@ -185,10 +185,10 @@ def run_fault_experiment(
                 else:
                     cell.partial_complete += 1
         stats = partial.executor.scheduler.resilience_stats
-        cell.retries = stats.total_retries
-        cell.timeouts = stats.total_timeouts
-        cell.breaker_trips = stats.total_breaker_trips
-        cell.failed_submits = stats.total_failed_submits
+        cell.retries = stats.total("retries")
+        cell.timeouts = stats.total("timeouts")
+        cell.breaker_trips = stats.total("breaker_trips")
+        cell.failed_submits = stats.total("failed_submits")
         cell.mean_partial_elapsed_ms = (
             elapsed_total / cell.queries if cell.queries else 0.0
         )

@@ -1,13 +1,10 @@
 """The mediator: catalog, registration, optimizer, executor, facade."""
 
 from repro.mediator.admin import AdminConsole, DriftReport
+from repro.mediator.backend import MEDIATOR_PROFILE
 from repro.mediator.cache import CacheStats, SubanswerCache
 from repro.mediator.catalog import MediatorCatalog
-from repro.mediator.executor import (
-    MEDIATOR_PROFILE,
-    ExecutorOptions,
-    MediatorExecutor,
-)
+from repro.mediator.executor import ExecutorOptions, MediatorExecutor
 from repro.mediator.mediator import Mediator, QueryResult
 from repro.mediator.optimizer import (
     OptimizationResult,

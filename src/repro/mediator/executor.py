@@ -27,19 +27,18 @@ from repro.algebra.expressions import Or, conjunction, eq
 from repro.algebra.logical import BindJoin, PlanNode, Scan, Scatter, Select, Submit
 from repro.algebra.rowops import eval_charge, getter, handlers, merge_rows, timed_rows
 from repro.errors import PlanError, SubmitFailedError
-from repro.mediator.backend import (
-    MEDIATOR_PROFILE as MEDIATOR_PROFILE,  # historic home; re-exported
-    ExecutionBackend,
-)
+from repro.mediator.backend import ExecutionBackend
 from repro.mediator.cache import SubanswerCache
 from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.resilience import (
     PARTIAL,
+    ReplicaStats,
     ResilienceOptions,
+    ResilienceStats,
     SubmitFailure,
     build_partial_answer,
 )
-from repro.mediator.scheduler import DispatchOutcome, SubmitScheduler
+from repro.mediator.scheduler import DispatchOutcome, SubmitScheduler, wave_saving
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.sources.pages import Row
 from repro.wrappers.base import ExecutionResult
@@ -115,10 +114,14 @@ class MediatorExecutor:
         self._prefetched: dict[int, DispatchOutcome] = {}
         #: Submit failures of the current execution (partial mode only).
         self._failures: list[SubmitFailure] = []
-        #: Submits the current execution dispatched, and how many of them
-        #: the subanswer cache served.
+        #: Submits the current execution dispatched, how many of them the
+        #: subanswer cache served, and the folds of their other events
+        #: (a ``None`` record is not gathered for this executor).
         self._dispatched = 0
         self._cache_hits = 0
+        self._saved_ms = 0.0
+        self._resilience: ResilienceStats | None = None
+        self._replication: ReplicaStats | None = None
         #: Telemetry sink; defaults to the shared no-op tracer.
         self.tracer: SpanTracer = NULL_TRACER
         self._trace_compose = False
@@ -129,28 +132,17 @@ class MediatorExecutor:
         self.scheduler.tracer = tracer
         self._trace_compose = tracer.enabled and trace_compose
 
-    @property
-    def parallel_stats(self):
-        """Cumulative wave accounting of the concurrent dispatcher."""
-        return self.scheduler.parallel.stats
-
     def execute(self, plan: PlanNode) -> ExecutionResult:
         """Execute a plan; returns rows plus mediator-measured times."""
         self._submit_log = []
         self._prefetched = {}
         self._failures = []
         self._dispatched = self._cache_hits = 0
-        saved_before = self.scheduler.parallel.stats.saved_ms
-        resilience_before = (
-            self.scheduler.resilience_stats.copy()
-            if self.options.resilience is not None
-            else None
+        self._saved_ms = 0.0
+        self._resilience = (
+            ResilienceStats() if self.options.resilience is not None else None
         )
-        replication_before = (
-            self.scheduler.replica_stats.copy()
-            if self.catalog.has_replicas()
-            else None
-        )
+        self._replication = ReplicaStats() if self.catalog.has_replicas() else None
         start = self.clock.now_ms
         if self.options.parallel_submits:
             self._prefetch_submits(plan)
@@ -164,22 +156,14 @@ class MediatorExecutor:
             cache_misses=(
                 self._dispatched - self._cache_hits if self.cache is not None else 0
             ),
-            parallel_saved_ms=self.scheduler.parallel.stats.saved_ms - saved_before,
+            parallel_saved_ms=self._saved_ms,
             partial=(
                 build_partial_answer(plan, self._failures)
                 if self._failures
                 else None
             ),
-            resilience=(
-                self.scheduler.resilience_stats.minus(resilience_before)
-                if resilience_before is not None
-                else None
-            ),
-            replication=(
-                self.scheduler.replica_stats.minus(replication_before)
-                if replication_before is not None
-                else None
-            ),
+            resilience=self._resilience,
+            replication=self._replication,
         )
 
     def _prefetch_submits(self, plan: PlanNode) -> None:
@@ -203,15 +187,21 @@ class MediatorExecutor:
         self, submits: "list[Submit]", wave: bool
     ) -> "list[DispatchOutcome]":
         """Every submit of the execution goes to the scheduler through
-        here, so the cache activity it reports is this query's own: each
-        submit is one cache lookup, a hit when the outcome says so.  (The
-        cache's own counters are shared by every query in flight.)"""
+        here, so every dispatch number the execution reports is folded
+        from its own outcomes: each submit is one cache lookup (a hit
+        when the outcome says so), carries its own fault and replica
+        events, and earns its share of the waves it rode.  (The cache's
+        and the scheduler's own counters are shared by every query in
+        flight.)"""
         if wave:
             outcomes = self.scheduler.dispatch_wave(submits)
         else:
             outcomes = [self.scheduler.dispatch_one(submit) for submit in submits]
         self._dispatched += len(outcomes)
-        self._cache_hits += sum(outcome.cached for outcome in outcomes)
+        for outcome in outcomes:
+            self._cache_hits += outcome.cached
+            outcome.fold_into(self._resilience, self._replication)
+        self._saved_ms += wave_saving(outcomes)
         return outcomes
 
     # -- operators ---------------------------------------------------------------
@@ -257,13 +247,28 @@ class MediatorExecutor:
             "without a submit — plans must route scans through wrappers"
         )
 
-    def _register_failure(self, outcome: DispatchOutcome, **probe: Any) -> None:
-        """The consumer's half of the fault contract: with no resilience
-        options the wrapper's own exception is re-raised unchanged;
-        strict mode raises; partial mode records the failure (``probe``
-        fields rewritten) so the answer completes with the surviving
-        subtrees and a structured :class:`~repro.mediator.resilience.
-        PartialAnswer` report."""
+    def _consume(self, outcome: DispatchOutcome, **probe: Any) -> Sequence[Row]:
+        """The subanswer rows of one outcome, for its consumer.
+
+        A real execution is logged here, at consumption (not dispatch),
+        so the log order matches the sequential executor's; cache hits
+        are excluded — history must only learn from real, measured
+        executions.  The outcome's submit (not the plan node) is logged:
+        a failover or won hedge rebinds it to the replica that actually
+        served the rows, while sharing the planned child subtree.
+
+        A failed outcome is the consumer's half of the fault contract:
+        with no resilience options the wrapper's own exception is
+        re-raised unchanged; strict mode raises; partial mode records the
+        failure (``probe`` fields rewritten) for the structured
+        :class:`~repro.mediator.resilience.PartialAnswer` report, and the
+        missing subtree contributes zero rows — union branches above drop
+        out, joins above prune to empty.
+        """
+        if not outcome.failed:
+            if not outcome.cached:
+                self._submit_log.append((outcome.submit, outcome.result))
+            return outcome.result.rows
         resilience = self.options.resilience
         if resilience is None:
             assert outcome.fault is not None
@@ -275,6 +280,7 @@ class MediatorExecutor:
         if resilience.mode != PARTIAL:
             raise SubmitFailedError(failure)
         self._failures.append(failure)
+        return ()
 
     def _run_submit(self, node: Submit) -> Iterator[Row]:
         """The subanswer's own rows, dispatched at the *first pull*: a
@@ -288,20 +294,7 @@ class MediatorExecutor:
         outcome = self._prefetched.pop(node.node_id, None)
         if outcome is None:
             (outcome,) = self._dispatch([node], wave=False)
-        if outcome.failed:
-            self._register_failure(outcome)
-            # Partial mode: the missing subtree contributes zero rows —
-            # union branches above drop out, joins above prune to empty.
-            return ()
-        if not outcome.cached:
-            # Logged at consumption (not dispatch) so the log order matches
-            # the sequential executor's; cache hits are excluded — history
-            # must only learn from real, measured executions.  The
-            # outcome's submit (not the plan node) is logged: a failover
-            # or won hedge rebinds it to the replica that actually served
-            # the rows, while sharing the planned child subtree.
-            self._submit_log.append((outcome.submit, outcome.result))
-        return outcome.result.rows
+        return self._consume(outcome)
 
     def _run_scatter(self, node: Scatter) -> Iterator[Row]:
         """Fan the shard submits out as one wave, gather in branch order.
@@ -332,12 +325,7 @@ class MediatorExecutor:
         else:
             outcomes = self._dispatch(list(node.branches), wave=True)
         for outcome in outcomes:
-            if outcome.failed:
-                self._register_failure(outcome)
-                continue
-            if not outcome.cached:
-                self._submit_log.append((outcome.submit, outcome.result))
-            yield from outcome.result.rows
+            yield from self._consume(outcome)
 
     def _run_bindjoin(self, node: BindJoin) -> Iterator[Row]:
         """Dependent join: outer first, then keyed probe batches at the
@@ -371,23 +359,18 @@ class MediatorExecutor:
         inner_by_key: dict[Any, list[Row]] = {}
         inner_key = getter(inner_name)
         for outcome in outcomes:
-            if outcome.failed:
-                # Probe submits are synthesized at run time, so their
-                # node ids are not in the plan; report the failure under
-                # the BindJoin's identity (a failed probe prunes the
-                # dependent join for that key batch).
-                self._register_failure(
-                    outcome,
-                    node_id=node.node_id,
-                    collection=node.inner_collection,
-                    bindjoin_probe=True,
-                )
-                continue
-            if not outcome.cached:
-                # Probe batches feed the §4.3.1 history like any other
-                # dispatched subquery.
-                self._submit_log.append((outcome.submit, outcome.result))
-            for row in outcome.result.rows:
+            # Probe batches feed the §4.3.1 history like any other
+            # dispatched subquery.  Their submits are synthesized at run
+            # time, so their node ids are not in the plan: a failure is
+            # reported under the BindJoin's identity (a failed probe
+            # prunes the dependent join for that key batch).
+            rows = self._consume(
+                outcome,
+                node_id=node.node_id,
+                collection=node.inner_collection,
+                bindjoin_probe=True,
+            )
+            for row in rows:
                 inner_by_key.setdefault(inner_key(row), []).append(row)
         outer_label = node.outer.primary_collection() or "outer"
         for row, key in zip(outer_rows, outer_keys):

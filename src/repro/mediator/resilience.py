@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.algebra.logical import (
@@ -457,61 +457,38 @@ def build_partial_answer(
 
 
 class _WrapperCounters:
-    """Snapshot/delta protocol shared by the per-wrapper stats dataclasses.
+    """What the per-wrapper stats dataclasses share.
 
     ``dict`` fields count events per wrapper, ``float`` fields accumulate
-    milliseconds.  The executor snapshots before/after each execution
-    (like the cache counters) and attaches the delta to the result; the
-    telemetry layer turns the delta into Prometheus counters.  Updates
-    go through :meth:`_inc` / :meth:`_add_ms`, which are lock-guarded:
-    on the real-time backend they arrive from concurrent pool threads.
+    milliseconds.  One record holds the events of one submit (on its
+    :class:`~repro.mediator.scheduler.DispatchOutcome`), of one
+    execution, or of a scheduler's lifetime; the last two are folds of
+    the first, made on the dispatching thread with :meth:`add`.
     """
 
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
+    def total(self, counter: str) -> int:
+        """One event counter summed over every wrapper."""
+        return sum(getattr(self, counter).values())
 
-    def _inc(self, counter: dict[str, int], wrapper: str, amount: int = 1) -> None:
-        with self._lock:
-            counter[wrapper] = counter.get(wrapper, 0) + amount
-
-    def _add_ms(self, name: str, ms: float) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + ms)
-
-    def copy(self):
-        return replace(
-            self,
-            **{
-                f.name: dict(getattr(self, f.name))
-                for f in fields(self)
-                if isinstance(getattr(self, f.name), dict)
-            },
-        )
-
-    def minus(self, before):
-        """Per-execution delta: ``self`` (after) minus ``before``."""
-        delta = type(self)()
+    def add(self, other) -> None:
+        """Fold ``other``'s counts into this record (``None``: a submit
+        with no such events)."""
+        if other is None:
+            return
         for f in fields(self):
-            after, prior = getattr(self, f.name), getattr(before, f.name)
-            if isinstance(after, dict):
-                out: dict[str, int] = getattr(delta, f.name)
-                for wrapper, value in after.items():
-                    diff = value - prior.get(wrapper, 0)
-                    if diff:
-                        out[wrapper] = diff
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for wrapper, value in theirs.items():
+                    mine[wrapper] = mine.get(wrapper, 0) + value
             else:
-                setattr(delta, f.name, after - prior)
-        return delta
-
-    @property
-    def empty(self) -> bool:
-        return not any(getattr(self, f.name) for f in fields(self))
+                setattr(self, f.name, mine + theirs)
 
 
 @dataclass
 class ResilienceStats(_WrapperCounters):
-    """Lifetime fault-handling counters of one scheduler, per wrapper;
-    the per-execution delta is ``ExecutionResult.resilience``."""
+    """Fault-handling counters per wrapper: of one submit, of one
+    execution (``ExecutionResult.resilience``), or of a scheduler's
+    lifetime — the latter two fold the submits' own records."""
 
     retries: dict[str, int] = field(default_factory=dict)
     timeouts: dict[str, int] = field(default_factory=dict)
@@ -523,28 +500,13 @@ class ResilienceStats(_WrapperCounters):
     backoff_ms: float = 0.0
     cancelled_wait_ms: float = 0.0
 
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(self.timeouts.values())
-
-    @property
-    def total_breaker_trips(self) -> int:
-        return sum(self.breaker_trips.values())
-
-    @property
-    def total_failed_submits(self) -> int:
-        return sum(self.failed_submits.values())
-
 
 @dataclass
 class ReplicaStats(_WrapperCounters):
-    """Lifetime replica-dispatch counters of one scheduler, per wrapper;
-    only attached to results (``ExecutionResult.replication``) when the
-    catalog actually has replica sets."""
+    """Replica-dispatch counters per wrapper, folded like
+    :class:`ResilienceStats`; only attached to results
+    (``ExecutionResult.replication``) when the catalog actually has
+    replica sets."""
 
     #: Submits served by each wrapper *as the optimizer's replica
     #: choice* (counted only for replicated sources).
@@ -559,18 +521,6 @@ class ReplicaStats(_WrapperCounters):
     #: Simulated ms of loser work cancelled (never charged to the
     #: mediator clock — it happened on the losing parallel timeline).
     hedge_cancelled_ms: float = 0.0
-
-    @property
-    def total_failovers(self) -> int:
-        return sum(self.failovers.values())
-
-    @property
-    def total_hedges_launched(self) -> int:
-        return sum(self.hedges_launched.values())
-
-    @property
-    def total_hedges_won(self) -> int:
-        return sum(self.hedges_won.values())
 
 
 __all__ = [

@@ -60,6 +60,12 @@ cache hit is served *before* any policy runs — it bypasses retry budget
 and circuit breakers alike, because the memoized rows came from a past
 successful execution and serving them during an outage is exactly the
 point.
+
+**What a submit cost** rides on its outcome: its retries, timeouts,
+breaker activity, replica selection, failovers and hedges, and the wave
+it rode.  The scheduler's lifetime stats and an execution's per-query
+numbers are folds of these records, so they cannot disagree, however
+many queries share the scheduler.
 """
 
 from __future__ import annotations
@@ -142,10 +148,44 @@ class DispatchOutcome:
     #: The wrapper exception behind a failed outcome's last attempt
     #: (``None`` for a breaker fast-fail or a deadline cancel).
     fault: BaseException | None = None
+    #: This submit's own fault-handling and replica-dispatch events;
+    #: ``None`` when there were none (no record on the fault-free path).
+    resilience: ResilienceStats | None = None
+    replication: ReplicaStats | None = None
+    #: The committed wave this submit rode in (``None`` for a sequential
+    #: dispatch), and its own branch duration within it.
+    wave: WaveStats | None = None
+    branch_ms: float = 0.0
 
     @property
     def failed(self) -> bool:
         return self.failure is not None
+
+    def fold_into(
+        self, resilience: ResilienceStats | None, replication: ReplicaStats | None
+    ) -> None:
+        """Add this submit's events to the given records (a ``None``
+        record is not gathered)."""
+        if resilience is not None:
+            resilience.add(self.resilience)
+        if replication is not None:
+            replication.add(self.replication)
+
+
+def wave_saving(outcomes: "Sequence[DispatchOutcome]") -> float:
+    """The share of their waves' saving that ``outcomes`` earned.
+
+    Per wave, ``saved_ms`` in proportion to the outcomes' own branch
+    time.  Outcomes that are the whole wave get exactly its ``saved_ms``
+    on the simulated backend, where both sums run in branch order.
+    """
+    saved = 0.0
+    waves = {id(o.wave): o.wave for o in outcomes if o.wave is not None}
+    for wave in waves.values():
+        if wave.sequential_ms:
+            own_ms = sum(o.branch_ms for o in outcomes if o.wave is wave)
+            saved += wave.saved_ms * (own_ms / wave.sequential_ms)
+    return saved
 
 
 class SubmitScheduler:
@@ -182,9 +222,9 @@ class SubmitScheduler:
         )
         #: Per-wrapper circuit breakers, created lazily on first dispatch.
         self.breakers: dict[str, CircuitBreaker] = {}
-        #: Lifetime fault-handling counters (executor snapshots deltas).
+        #: Lifetime fault-handling and replica-dispatch counters: the
+        #: fold of every outcome the two dispatch modes returned.
         self.resilience_stats = ResilienceStats()
-        #: Lifetime replica-dispatch counters (selected/failover/hedge).
         self.replica_stats = ReplicaStats()
         #: Cost-based replica ordering, injected by the mediator:
         #: ``(submit, candidates) -> candidates ordered cheapest first``.
@@ -256,14 +296,14 @@ class SubmitScheduler:
             name for name, breaker in self.breakers.items() if breaker.state != CLOSED
         )
 
-    def _record_failure(self, wrapper: str, breaker: CircuitBreaker | None) -> None:
-        """Count one failure against a wrapper's breaker; a failure that
-        trips it open is counted and traced."""
+    def _record_failure(self, wrapper: str, breaker: CircuitBreaker | None) -> bool:
+        """Count one failure against a wrapper's breaker; True (and
+        traced) when it tripped the breaker open."""
         if breaker is not None and breaker.record_failure(self.clock.now_ms):
-            stats = self.resilience_stats
-            stats._inc(stats.breaker_trips, wrapper)
             if self.tracer.enabled:
                 self.tracer.event("breaker.open", kind="breaker", wrapper=wrapper)
+            return True
+        return False
 
     # -- the per-submit sequence ---------------------------------------------
 
@@ -359,7 +399,8 @@ class SubmitScheduler:
         submit: Submit,
         reason: str,
         attempts: int,
-        fault: BaseException | None = None,
+        fault: BaseException | None,
+        resilience: ResilienceStats,
     ) -> DispatchOutcome:
         return DispatchOutcome(
             submit=submit,
@@ -374,6 +415,7 @@ class SubmitScheduler:
                 attempts=attempts,
             ),
             fault=fault,
+            resilience=resilience,
         )
 
     def _attempt(
@@ -385,25 +427,27 @@ class SubmitScheduler:
         Charges a request message per attempt plus the waits (wrapper
         time, failure latency, backoff, cancelled remainders) through
         ``charges``; the response message is the caller's to charge.
+        The outcome carries the submit's own fault events.
         """
         policy = self._retry
-        stats = self.resilience_stats
         tracer = self.tracer
         name = submit.wrapper
         # Only a submit that may retry needs a jitter coordinate.
         dispatch_seq = next(self._dispatch_seq) if policy.max_attempts > 1 else 0
         breaker = self._breaker(name)
         if breaker is not None and not breaker.allow(self.clock.now_ms):
-            stats._inc(stats.breaker_fast_fails, name)
             if tracer.enabled:
                 tracer.event("breaker.fast_fail", kind="breaker", wrapper=name)
-            return self._failed(submit, "circuit_open", 0)
+            fast_fail = ResilienceStats(breaker_fast_fails={name: 1})
+            return self._failed(submit, "circuit_open", 0, None, fast_fail)
         wrapper = self.catalog.wrapper(name)
         deadline = policy.deadline_ms
         waited = 0.0
         attempts = 0
         reason = "transient"
         fault: BaseException | None = None
+        # This submit's fault events, allocated at its first failure.
+        events: ResilienceStats | None = None
         while attempts < policy.max_attempts:
             attempts += 1
             charges.message()  # ship the subquery (again, on a retry)
@@ -415,13 +459,36 @@ class SubmitScheduler:
                 ),
             )
             wait = attempt.duration_ms
-            if deadline is not None and waited + wait > deadline:
+            overran = deadline is not None and waited + wait > deadline
+            if attempt.error is None and not overran:
+                result = attempt.result
+                assert result is not None
+                if hedge is None:
+                    charges.wrapper_wait(wait)
+                    outcome = DispatchOutcome(submit=submit, result=result)
+                else:
+                    outcome = self._hedged(submit, result, wait, charges, hedge)
+                if breaker is not None:
+                    breaker.record_success()  # a hedged primary did answer, late
+                if attempts > 1 or outcome.submit is not submit:
+                    # Retried and hedge-won submits carry fault latency
+                    # in their wall story; mark the result so the
+                    # calibration window can skip it.
+                    outcome.result = replace(outcome.result, fault_tainted=True)
+                outcome.attempts = attempts
+                if events is not None:
+                    events.add(outcome.resilience)  # a hedge's backup trip
+                    outcome.resilience = events
+                return outcome
+            if events is None:
+                events = ResilienceStats()
+            if overran:
                 # The deadline fires mid-wait: cancel the wrapper wait,
                 # charge only the remaining budget, discard any rows.
                 remaining = max(0.0, deadline - waited)
                 charges.idle_wait(remaining)
-                stats._add_ms("cancelled_wait_ms", wait - remaining)
-                stats._inc(stats.timeouts, name)
+                events.cancelled_wait_ms = wait - remaining
+                events.timeouts[name] = 1
                 reason, fault = "timeout", None
                 if tracer.enabled:
                     tracer.event(
@@ -431,36 +498,18 @@ class SubmitScheduler:
                         attempt=attempts,
                         cancelled_ms=wait - remaining,
                     )
-                self._record_failure(name, breaker)
-                break  # the wait budget is gone: no attempt can fit
-            if attempt.error is None:
-                result = attempt.result
-                assert result is not None
-                served = submit
-                if hedge is None:
-                    charges.wrapper_wait(wait)
-                else:
-                    served, result = self._hedged(
-                        submit, result, wait, charges, hedge
-                    )
-                if breaker is not None:
-                    breaker.record_success()  # a hedged primary did answer, late
-                if attempts > 1 or served is not submit:
-                    # Retried and hedge-won submits carry fault latency
-                    # in their wall story; mark the result so the
-                    # calibration window can skip it.
-                    result = replace(result, fault_tainted=True)
-                return DispatchOutcome(
-                    submit=served, result=result, attempts=attempts
-                )
-            charges.wrapper_wait(wait)
-            waited += wait
-            reason, fault = attempt.error, attempt.fault
-            stats._inc(stats.attempt_errors, name)
-            self._record_failure(name, breaker)
-            if breaker is not None and breaker.state == OPEN:
-                # A tripped breaker stops the loop: a dead source must
-                # not burn the remaining retry budget.
+            else:
+                charges.wrapper_wait(wait)
+                waited += wait
+                reason, fault = attempt.error, attempt.fault
+                # Every attempt so far failed: a timeout ends the loop.
+                events.attempt_errors[name] = attempts
+            if self._record_failure(name, breaker):
+                trips = events.breaker_trips
+                trips[name] = trips.get(name, 0) + 1
+            if overran or (breaker is not None and breaker.state == OPEN):
+                # No attempt can fit the spent wait budget, and a dead
+                # source must not burn the rest of the retry budget.
                 break
             if attempts < policy.max_attempts:
                 backoff = policy.backoff_ms(
@@ -470,9 +519,9 @@ class SubmitScheduler:
                     backoff = min(backoff, deadline - waited)
                 if backoff > 0:
                     charges.idle_wait(backoff)
-                    stats._add_ms("backoff_ms", backoff)
+                    events.backoff_ms += backoff
                     waited += backoff
-                stats._inc(stats.retries, name)
+                events.retries[name] = attempts
                 if tracer.enabled:
                     tracer.event(
                         "retry",
@@ -482,8 +531,9 @@ class SubmitScheduler:
                         backoff_ms=backoff,
                         reason=reason,
                     )
-        stats._inc(stats.failed_submits, name)
-        return self._failed(submit, reason, attempts, fault)
+        assert events is not None  # the loop only falls through on failure
+        events.failed_submits[name] = 1
+        return self._failed(submit, reason, attempts, fault, events)
 
     def _jitter_rng(self, wrapper: str, dispatch_seq: int, attempt: int) -> random.Random:
         """A fresh deterministic RNG per backoff draw, seeded from
@@ -530,11 +580,11 @@ class SubmitScheduler:
         wait: float,
         charges,
         policy: HedgePolicy,
-    ) -> tuple[Submit, ExecutionResult]:
+    ) -> DispatchOutcome:
         """Race a straggling (but successful) primary wait against one
         backup replica.  Charges the *winner's* duration — the primary
-        wait itself when no hedge fires — and returns the serving submit
-        with its result."""
+        wait itself when no hedge fires — and returns the outcome of the
+        serving submit, carrying the hedge's events."""
         name = submit.wrapper
         history = self._latency_history.get(name)
         if history is None:
@@ -548,11 +598,10 @@ class SubmitScheduler:
         )
         if not candidates:
             charges.wrapper_wait(wait)
-            return submit, result
+            return DispatchOutcome(submit=submit, result=result)
         backup_name = candidates[0]
-        rstats = self.replica_stats
+        events = ReplicaStats(hedges_launched={backup_name: 1})
         tracer = self.tracer
-        rstats._inc(rstats.hedges_launched, backup_name)
         charges.message()  # the backup subquery ships too
         if tracer.enabled:
             tracer.event(
@@ -573,8 +622,8 @@ class SubmitScheduler:
             # still-outstanding remainder is cancelled, never charged.
             winner_ms = threshold + backup.duration_ms
             charges.wrapper_wait(winner_ms)
-            rstats._inc(rstats.hedges_won, backup_name)
-            rstats._add_ms("hedge_cancelled_ms", wait - winner_ms)
+            events.hedges_won[backup_name] = 1
+            events.hedge_cancelled_ms = wait - winner_ms
             if backup_breaker is not None:
                 backup_breaker.record_success()
             if tracer.enabled:
@@ -586,14 +635,19 @@ class SubmitScheduler:
                     winner_ms=winner_ms,
                     cancelled_ms=wait - winner_ms,
                 )
-            return self._rebound(submit, backup_name), backup.result
+            return DispatchOutcome(
+                submit=self._rebound(submit, backup_name),
+                result=backup.result,
+                replication=events,
+            )
         # Primary wins (or the backup faulted): charge the primary wait
         # as usual; all backup work happened on the losing timeline.
         charges.wrapper_wait(wait)
-        rstats._add_ms("hedge_cancelled_ms", backup.duration_ms)
-        if backup.result is None:
-            self._record_failure(backup_name, backup_breaker)
-        return submit, result
+        events.hedge_cancelled_ms = backup.duration_ms
+        outcome = DispatchOutcome(submit=submit, result=result, replication=events)
+        if backup.result is None and self._record_failure(backup_name, backup_breaker):
+            outcome.resilience = ResilienceStats(breaker_trips={backup_name: 1})
+        return outcome
 
     def _fail_over(
         self, submit: Submit, outcome: DispatchOutcome, charges
@@ -605,17 +659,21 @@ class SubmitScheduler:
         serving wrapper (sharing the planned child subtree, so drift and
         profile joins keep working).  When every member fails, the plan
         submit's failure is returned with the full attempt chain in
-        ``replicas_tried``.
+        ``replicas_tried``.  Every attempt's events stay on the returned
+        outcome.
         """
-        rstats = self.replica_stats
         if not outcome.failed:
-            rstats._inc(rstats.selected, outcome.submit.wrapper)
+            selected = ReplicaStats(selected={outcome.submit.wrapper: 1})
+            selected.add(outcome.replication)  # a hedge's events
+            outcome.replication = selected
             return outcome
         tracer = self.tracer
         tried = [submit.wrapper]
         first_failure = outcome.failure
-        assert first_failure is not None
         total_attempts = outcome.attempts
+        # A failed attempt always carries its events (and never a hedge's).
+        events = outcome.resilience
+        assert first_failure is not None and events is not None
         while True:
             candidates = self._replica_candidates(submit, exclude=tried)
             if not candidates:
@@ -632,9 +690,10 @@ class SubmitScheduler:
             alt = self._attempt(self._rebound(submit, candidate), charges, self._hedge)
             tried.append(candidate)
             total_attempts += alt.attempts
+            events.add(alt.resilience)
             if not alt.failed:
-                rstats._inc(rstats.selected, candidate)
-                rstats._inc(rstats.failovers, candidate)
+                rescue = ReplicaStats(selected={candidate: 1}, failovers={candidate: 1})
+                rescue.add(alt.replication)  # a hedge's events
                 if tracer.enabled:
                     tracer.event(
                         "failover.rescued",
@@ -647,6 +706,8 @@ class SubmitScheduler:
                     submit=alt.submit,
                     result=replace(alt.result, fault_tainted=True),
                     attempts=total_attempts,
+                    resilience=events,
+                    replication=rescue,
                 )
         if tracer.enabled and len(tried) > 1:
             tracer.event(
@@ -667,14 +728,18 @@ class SubmitScheduler:
 
     def dispatch_one(self, submit: Submit) -> DispatchOutcome:
         """The additive model: the mediator waits for the whole wrapper."""
-        return self._submit(submit, self._sequential)
+        outcome = self._submit(submit, self._sequential)
+        outcome.fold_into(self.resilience_stats, self.replica_stats)
+        return outcome
 
     def dispatch_wave(self, submits: "list[Submit]") -> "list[DispatchOutcome]":
         """Dispatch independent subqueries as one concurrent wave.
 
         Wrapper waits are charged as the wave's makespan (max over
         branches, under the concurrency cap); request and response
-        messages remain serialized per-branch charges.  The backend runs
+        messages remain serialized per-branch charges.  Each outcome is
+        stamped with the committed wave and its own branch duration (see
+        :func:`wave_saving`).  The backend runs
         the branches: the sim backend executes them in input order (so
         results — and the wrapper engines' own clocks — stay
         deterministic, and a within-wave duplicate hits the cache its
@@ -717,4 +782,8 @@ class SubmitScheduler:
                     cached_branches=sum(1 for o in outcomes if o.cached),
                     failed_branches=sum(1 for o in outcomes if o.failed),
                 )
+        # Folded here, on the dispatching thread, once the pool is done.
+        for outcome, charges in zip(outcomes, branches):
+            outcome.wave, outcome.branch_ms = wave, charges.branch_ms
+            outcome.fold_into(self.resilience_stats, self.replica_stats)
         return outcomes

@@ -66,17 +66,15 @@ class TaskDispatchProxy:
     Dispatch methods block the task thread and yield to the coordinator,
     which runs the request on the shared scheduler and hands back its
     outcomes — failed ones included, so a wrapper fault surfaces in the
-    task that owns the submit, never in the coordinator.  Everything
-    else the executor reads from its dispatcher (clock, wave and
-    fault-handling counters) is the shared scheduler's own state.
+    task that owns the submit, never in the coordinator.  The outcomes
+    carry every per-query dispatch number the executor folds (cache hit,
+    fault and replica events, wave share), so the only other state it
+    reads from its dispatcher is the shared clock.
     """
 
     def __init__(self, task: "QueryTask", shared: SubmitScheduler) -> None:
         self._task = task
         self.clock = shared.clock
-        self.parallel = shared.parallel
-        self.resilience_stats = shared.resilience_stats
-        self.replica_stats = shared.replica_stats
         #: ``MediatorExecutor.set_tracer`` assigns this; the per-task
         #: tracer is used by the executor's compose spans, while submit
         #: and wave spans stay on the shared scheduler's own tracer.

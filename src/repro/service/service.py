@@ -23,12 +23,13 @@ is strict.  Metrics go to the mediator's registry when observability is
 on (so ``expose_text`` shows serving and engine metrics side by side)
 and to a private registry otherwise.
 
-Attribution caveat: per-query ``cache_hits`` / ``cache_misses`` are
-exact (each execution counts its own dispatch outcomes), but
-``parallel_saved_ms``, ``resilience`` and ``replication`` are deltas of
-shared counters around the execution window — exact when queries run
-alone, approximate under interleaving.  Service-level metrics (latency,
-queue wait, admission counters) are always exact.
+Attribution: every per-query dispatch number — ``cache_hits`` /
+``cache_misses``, ``parallel_saved_ms``, ``resilience`` and
+``replication`` — is exact at any concurrency.  Each execution folds
+the dispatch outcomes it received itself, so the tickets' numbers add
+up to the shared scheduler's and cache's lifetime counters.
+Service-level metrics (latency, queue wait, admission counters) are
+exact too.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ def build_oo7_wrapper(export_rules=True):
     return ObjectStoreWrapper("oo7", load_database(TINY), export_rules=export_rules)
 
 
-def build_sales_wrapper():
+def build_sales_wrapper(name="sales"):
     db = RelationalDatabase()
     db.create_table(
         "Suppliers",
@@ -37,7 +37,7 @@ def build_sales_wrapper():
         row_size=32,
         indexed_columns=["oid", "supplier"],
     )
-    return RelationalWrapper("sales", db)
+    return RelationalWrapper(name, db)
 
 
 def build_files_wrapper():

@@ -16,6 +16,7 @@ from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     BreakerPolicy,
     ResilienceOptions,
+    ResilienceStats,
     RetryPolicy,
 )
 from repro.oo7 import TINY
@@ -122,5 +123,4 @@ class TestZeroProbabilityEquivalence:
         plan = mediator.plan("SELECT * FROM Suppliers WHERE city = 'city0'").plan
         execution = mediator.executor.execute(plan)
         assert execution.partial is None
-        assert execution.resilience is not None
-        assert execution.resilience.empty
+        assert execution.resilience == ResilienceStats()

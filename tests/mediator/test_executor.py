@@ -6,8 +6,8 @@ from repro.algebra.builders import PlanBuilder, count_star, scan
 from repro.algebra.expressions import And, AttributeRef, Comparison, attr, eq, lit
 from repro.algebra.logical import BindJoin, PlanNode, Scan
 from repro.errors import PlanError
-from repro.mediator.backend import SimBackend
-from repro.mediator.executor import MEDIATOR_PROFILE, ExecutorOptions, MediatorExecutor
+from repro.mediator.backend import MEDIATOR_PROFILE, SimBackend
+from repro.mediator.executor import ExecutorOptions, MediatorExecutor
 from repro.mediator.mediator import Mediator
 from repro.sources.clock import CostProfile, SimClock
 from repro.sources.storage_engine import StorageEngine

@@ -6,7 +6,8 @@ import pytest
 
 from repro.algebra.builders import scan
 from repro.errors import SubmitFailedError, TransientSourceError
-from repro.mediator.executor import MEDIATOR_PROFILE, ExecutorOptions
+from repro.mediator.backend import MEDIATOR_PROFILE
+from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     CLOSED,
@@ -213,7 +214,7 @@ class TestRetryDispatch:
         result = mediator.executor.execute(plan)
         assert result.count == 0
         assert result.partial is None
-        assert result.resilience.empty
+        assert result.resilience == ResilienceStats()
         logged = result.submit_log[0][1]
         assert logged.count == 0
         assert logged.device_stats is not None
@@ -496,32 +497,14 @@ class TestBackoffDesynchronization:
 
 
 class TestResilienceStats:
-    def test_copy_is_independent(self):
-        stats = ResilienceStats()
-        stats._inc(stats.retries, "a")
-        snapshot = stats.copy()
-        stats._inc(stats.retries, "a")
-        assert snapshot.retries == {"a": 1}
-        assert stats.retries == {"a": 2}
-
-    def test_minus_yields_per_execution_delta(self):
-        stats = ResilienceStats()
-        stats._inc(stats.retries, "a")
-        stats.backoff_ms = 100.0
-        before = stats.copy()
-        stats._inc(stats.retries, "a")
-        stats._inc(stats.timeouts, "b")
-        stats.backoff_ms = 250.0
-        delta = stats.minus(before)
-        assert delta.retries == {"a": 1}
-        assert delta.timeouts == {"b": 1}
-        assert delta.backoff_ms == 150.0
-        assert not delta.empty
-        assert stats.minus(stats.copy()).empty
+    def test_add_folds_per_wrapper_counts_and_ms(self):
+        stats = ResilienceStats(retries={"a": 1}, backoff_ms=100.0)
+        stats.add(ResilienceStats(retries={"a": 1}, timeouts={"b": 1}, backoff_ms=150.0))
+        assert stats == ResilienceStats(
+            retries={"a": 2}, timeouts={"b": 1}, backoff_ms=250.0
+        )
 
     def test_totals(self):
-        stats = ResilienceStats()
-        stats._inc(stats.retries, "a", 2)
-        stats._inc(stats.retries, "b")
-        assert stats.total_retries == 3
-        assert stats.total_timeouts == 0
+        stats = ResilienceStats(retries={"a": 2, "b": 1})
+        assert stats.total("retries") == 3
+        assert stats.total("timeouts") == 0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.algebra.builders import scan
-from repro.mediator.executor import MEDIATOR_PROFILE, ExecutorOptions
+from repro.mediator.backend import MEDIATOR_PROFILE
+from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from tests.federation_fixtures import (
     build_files_wrapper,

@@ -21,9 +21,7 @@ from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.resilience import (
     BreakerPolicy,
     CircuitBreaker,
-    ReplicaStats,
     ResilienceOptions,
-    ResilienceStats,
     RetryPolicy,
 )
 from repro.mediator.scheduler import SubmitScheduler
@@ -105,26 +103,10 @@ class TestCircuitBreakerConcurrency:
 
 
 class TestDispatchStatsConcurrency:
-    def test_concurrent_increments_count_exactly(self):
-        for stats, counter, accumulator in (
-            (ResilienceStats(), "retries", "backoff_ms"),
-            (ReplicaStats(), "failovers", "hedge_cancelled_ms"),
-        ):
-            def _bump(index: int) -> None:
-                for _ in range(ROUNDS):
-                    stats._inc(getattr(stats, counter), f"w{index % 2}")
-                    stats._add_ms(accumulator, 0.5)
-
-            _hammer(_bump)
-            assert getattr(stats, counter) == {
-                "w0": THREADS * ROUNDS // 2,
-                "w1": THREADS * ROUNDS // 2,
-            }
-            assert getattr(stats, accumulator) == THREADS * ROUNDS * 0.5
-
     def test_wave_branches_draw_distinct_dispatch_numbers(self):
         """Branches of a real wave retry against one wrapper: the
-        counters are exact and every submit drew its own jitter number."""
+        counters are exact, each is the fold of the outcomes' own
+        events, and every submit drew its own jitter number."""
 
         class _FailsOddCalls:
             name = "w"
@@ -158,6 +140,9 @@ class TestDispatchStatsConcurrency:
         assert stats.retries == {"w": retries}
         assert stats.attempt_errors == {"w": retries}
         assert retries == branches  # one failed odd call per even success
+        own = [o.resilience for o in outcomes if o.resilience is not None]
+        assert sum(r.retries["w"] for r in own) == stats.retries["w"]
+        assert sum(r.attempt_errors["w"] for r in own) == stats.attempt_errors["w"]
         assert next(scheduler._dispatch_seq) == branches + 1  # none lost
 
 

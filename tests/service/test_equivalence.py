@@ -10,6 +10,8 @@ directly — for the sequential executor, the concurrent-wave executor,
 and a fully armed (but never-firing) resilience configuration.
 """
 
+import pytest
+
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
@@ -17,6 +19,7 @@ from repro.mediator.resilience import (
     ResilienceOptions,
     RetryPolicy,
 )
+from repro.obs import ObservabilityOptions
 from repro.oo7 import TINY
 from repro.oo7.workload import build_workload
 from repro.service import FederationService, ServiceOptions
@@ -199,3 +202,83 @@ class TestPerQueryCacheCounters:
         counters, lifetime = self.through_service(concurrency=1)
         assert counters == expected
         assert lifetime == direct.executor.cache.stats
+
+
+class TestPerQueryDispatchEvents:
+    """``parallel_saved_ms``, ``resilience`` and ``replication`` are the
+    query's own too — folds of the outcomes it received — so the exported
+    per-query counters add up to the shared scheduler's lifetime stats
+    however many queries interleave, under transient faults, retries and
+    a replicated source."""
+
+    QUERIES = [
+        sql
+        for city in ("city0", "city1", "city2", "city3")
+        for sql in (
+            f"SELECT * FROM Suppliers WHERE city = '{city}'",
+            "SELECT * FROM AtomicParts, Suppliers WHERE AtomicParts.type = "
+            f"Suppliers.partType AND Suppliers.city = '{city}'",
+            f"SELECT oid, qty FROM Orders WHERE qty > {60 + len(city)}",
+        )
+    ]
+
+    @staticmethod
+    def build():
+        mediator = Mediator(
+            executor_options=ExecutorOptions(
+                parallel_submits=True,
+                resilience=ResilienceOptions(
+                    retry=RetryPolicy(max_attempts=4, backoff_base_ms=10.0),
+                    mode="partial",
+                ),
+            ),
+            observability=ObservabilityOptions(enabled=True),
+        )
+        mediator.register(
+            FaultInjector(
+                build_oo7_wrapper(), FaultProfile(error_probability=0.3, seed=3)
+            )
+        )
+        mediator.register(
+            FaultInjector(
+                build_sales_wrapper(), FaultProfile(error_probability=0.4, seed=4)
+            )
+        )
+        mediator.register_replica(build_sales_wrapper("sales_b"), of="sales")
+        return mediator
+
+    def service(self, concurrency):
+        service = FederationService(
+            self.build(),
+            ServiceOptions(max_concurrent_queries=concurrency, plan_cache=False),
+        )
+        return service, service.open_session("tenant")
+
+    def test_exported_counters_equal_the_lifetime_stats_at_concurrency_eight(self):
+        service, session = self.service(concurrency=8)
+        tickets = [service.submit(session, sql) for sql in self.QUERIES]
+        service.run()
+        assert [t.status for t in tickets] == ["done"] * len(self.QUERIES)
+        mediator = service.mediator
+        scheduler = mediator.executor.scheduler
+        resilience, replication = scheduler.resilience_stats, scheduler.replica_stats
+        metrics = mediator.telemetry.metrics
+        for name, lifetime in (
+            ("repro_submit_retries_total", resilience.total("retries")),
+            ("repro_submit_errors_total", resilience.total("attempt_errors")),
+            ("repro_replica_selected_total", replication.total("selected")),
+            ("repro_backoff_ms_total", resilience.backoff_ms),
+            ("repro_parallel_saved_ms_total", scheduler.parallel.stats.saved_ms),
+        ):
+            assert lifetime > 0, name
+            assert metrics[name].total() == pytest.approx(lifetime, rel=1e-9), name
+
+    def test_registry_equals_direct_queries_at_concurrency_one(self):
+        direct = self.build()
+        service, session = self.service(concurrency=1)
+        for sql in self.QUERIES:
+            direct.query(sql)
+            service.query(session, sql)
+        expected = direct.telemetry.metrics.snapshot()
+        served = service.mediator.telemetry.metrics.snapshot()
+        assert {name: served[name] for name in expected} == expected

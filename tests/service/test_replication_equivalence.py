@@ -19,6 +19,7 @@ from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     BreakerPolicy,
     HedgePolicy,
+    ReplicaStats,
     ResilienceOptions,
     RetryPolicy,
 )
@@ -97,7 +98,7 @@ class TestNoReplicasIsByteIdentical:
         hedged = build_mediator(resilience=HEDGED, inject=True, parallel=True)
         plain = build_mediator(resilience=ARMED, inject=True, parallel=True)
         assert run_workload(hedged) == run_workload(plain)
-        assert hedged.executor.scheduler.replica_stats.empty
+        assert hedged.executor.scheduler.replica_stats == ReplicaStats()
 
     def test_answers_are_complete(self):
         # Sanity: "byte-identical" must not mean "identically empty".
