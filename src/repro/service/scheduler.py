@@ -4,15 +4,20 @@ The mediator's executor is a synchronous, single-query engine: it walks
 one plan and blocks on its :class:`~repro.mediator.scheduler.
 SubmitScheduler` for every dispatch.  The serving layer runs *many*
 queries over one shared simulated clock, so each admitted query becomes
-a :class:`QueryTask` — a real thread running an unmodified
-``MediatorExecutor`` — whose dispatch calls are intercepted by a
+a :class:`QueryTask` — an unmodified ``MediatorExecutor`` run as a
+coroutine — whose dispatch calls are intercepted by a
 :class:`TaskDispatchProxy` and handed to the coordinating
 :class:`FairShareScheduler` instead of hitting a wrapper directly.
 
-The handoff is *strict*: exactly one thread (a task or the coordinator)
-runs at any instant, SimPy-style, so execution is fully deterministic —
-the threads are a coroutine mechanism, not a source of parallelism.  The
-coordinator repeatedly
+A task runs on a parked runner thread taken from a process-wide free
+list at its first step and handed back when it finishes, so a query
+costs no thread start.  The handoff is a pair of locks and is *strict*:
+exactly one thread (a task or the coordinator) runs at any instant,
+SimPy-style, so execution is fully deterministic — the threads are a
+coroutine mechanism, not a source of parallelism.  The free list is
+unbounded because a suspended task keeps its runner: a fixed-size pool
+would deadlock once every runner held a suspended task and the
+coordinator started one more.  The coordinator repeatedly
 
 1. **starts** queued queries when admission headroom frees, picking
    tenants by deficit round-robin weighted by their quota;
@@ -34,6 +39,7 @@ byte-identical results, submit logs, and clock totals to calling
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -94,8 +100,43 @@ class TaskDispatchProxy:
         )
 
 
+class _Runner:
+    """One parked daemon thread that runs query tasks, one after another.
+
+    ``go`` and ``back`` are plain locks used as binary semaphores, both
+    held while the runner is parked: the coordinator resumes the task
+    with ``go.release(); back.acquire()`` and the task yields with
+    ``back.release(); go.acquire()``, so exactly one side runs at any
+    instant.  The coordinator hands a finished task's runner back to
+    ``_FREE_RUNNERS``; the task thread itself never touches the list.
+    """
+
+    def __init__(self) -> None:
+        self.go = threading.Lock()
+        self.back = threading.Lock()
+        self.go.acquire()
+        self.back.acquire()
+        self.task: "QueryTask | None" = None
+        threading.Thread(
+            target=self._loop, name="query-task-runner", daemon=True
+        ).start()
+
+    def _loop(self) -> None:
+        while True:
+            self.go.acquire()
+            self.task._run()  # type: ignore[union-attr]
+
+
+#: Process-wide parked runners; unbounded on purpose (see the module
+#: docstring), it grows to the peak number of tasks in flight at once.
+_FREE_RUNNERS: "list[_Runner]" = []
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the list but none of the parked threads.
+    os.register_at_fork(after_in_child=_FREE_RUNNERS.clear)
+
+
 class QueryTask:
-    """One admitted query running in its own strict-handoff thread."""
+    """One admitted query, run as a strict-handoff coroutine on a runner."""
 
     def __init__(
         self,
@@ -121,19 +162,13 @@ class QueryTask:
         self.optimized = None
         self.sql: str | None = None
         self.request: _DispatchRequest | None = None
-        self._resume = threading.Event()
-        self._yielded = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"query-task-{tenant}", daemon=True
-        )
-        self._started = False
+        #: Taken at the first ``advance()``, returned once finished.
+        self._runner: _Runner | None = None
 
     # -- task-thread side ------------------------------------------------------
 
     def _run(self) -> None:
         try:
-            self._resume.wait()
-            self._resume.clear()
             if self.tracer is not None and self.tracer.enabled:
                 with self.tracer.span("query", kind="query"):
                     with self.tracer.span("execute", kind="phase"):
@@ -144,30 +179,41 @@ class QueryTask:
             self.error = exc
         finally:
             self.finished = True
-            self._yielded.set()
+            self._runner.back.release()  # type: ignore[union-attr]
 
     def await_dispatch(
         self, request: _DispatchRequest
     ) -> "list[DispatchOutcome]":
-        """Block the task thread until the coordinator delivers outcomes."""
+        """Park the task until the coordinator delivers outcomes."""
         self.request = request
-        self._yielded.set()
-        self._resume.wait()
-        self._resume.clear()
+        runner = self._runner
+        assert runner is not None
+        runner.back.release()
+        runner.go.acquire()
         assert all(outcome is not None for outcome in request.outcomes)
         return request.outcomes  # type: ignore[return-value]
 
     # -- coordinator side ------------------------------------------------------
 
     def advance(self) -> None:
-        """Run the task thread until its next dispatch request or finish."""
-        if not self._started:
-            self._started = True
-            self._thread.start()
+        """Run the task until its next dispatch request or finish."""
+        runner = self._runner
+        if runner is None:
+            # pop() itself, not a length check first: another
+            # coordinator thread may take the last runner in between.
+            try:
+                runner = _FREE_RUNNERS.pop()
+            except IndexError:
+                runner = _Runner()
+            runner.task = self
+            self._runner = runner
         self.request = None
-        self._yielded.clear()
-        self._resume.set()
-        self._yielded.wait()
+        runner.go.release()
+        runner.back.acquire()
+        if self.finished:
+            self._runner = None
+            runner.task = None
+            _FREE_RUNNERS.append(runner)
 
 
 @dataclass

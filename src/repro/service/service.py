@@ -59,6 +59,17 @@ DONE = "done"
 FAILED = "failed"
 REJECTED = "rejected"
 
+#: Help text of every per-tenant service counter.
+_COUNTER_HELP = {
+    "repro_service_submitted_total": "Queries submitted to the service",
+    "repro_service_admitted_total": "Queries that started executing",
+    "repro_service_queued_total": "Queries parked in a tenant lane",
+    "repro_service_completed_total": "Queries answered",
+    "repro_service_failed_total": "Queries that raised during execution",
+    "repro_service_plan_cache_hits_total": "Plan-cache hits at resolve",
+    "repro_service_plan_cache_misses_total": "Plan-cache misses at resolve",
+}
+
 
 @dataclass
 class ServiceOptions:
@@ -446,16 +457,7 @@ class FederationService:
         return result
 
     def _count(self, name: str, tenant: str) -> None:
-        help_texts = {
-            "repro_service_submitted_total": "Queries submitted to the service",
-            "repro_service_admitted_total": "Queries that started executing",
-            "repro_service_queued_total": "Queries parked in a tenant lane",
-            "repro_service_completed_total": "Queries answered",
-            "repro_service_failed_total": "Queries that raised during execution",
-            "repro_service_plan_cache_hits_total": "Plan-cache hits at resolve",
-            "repro_service_plan_cache_misses_total": "Plan-cache misses at resolve",
-        }
-        self.metrics.counter(name, help_texts.get(name, ""), ("tenant",)).inc(
+        self.metrics.counter(name, _COUNTER_HELP[name], ("tenant",)).inc(
             tenant=tenant
         )
 

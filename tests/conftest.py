@@ -1,5 +1,7 @@
 """Root fixtures shared across the test suite."""
 
+import threading
+
 import pytest
 
 from tests.federation_fixtures import (
@@ -18,3 +20,17 @@ def federation():
     mediator.register(build_sales_wrapper())
     mediator.register(build_files_wrapper())
     return mediator
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs, in order."""
+    starts = []
+    original = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return starts

@@ -1,4 +1,10 @@
-"""Deficit round-robin fairness and cross-query wave packing."""
+"""Deficit round-robin fairness, cross-query wave packing and runner reuse."""
+
+import os
+import signal
+import time
+
+import pytest
 
 from repro.bench.harness import build_federation
 from repro.mediator.executor import ExecutorOptions
@@ -11,6 +17,10 @@ UNION = (
     "SELECT oid, qty FROM OrdersEast "
     "UNION ALL SELECT oid, qty FROM OrdersWest "
     "UNION ALL SELECT oid, qty FROM OrdersNorth"
+)
+JOIN = (
+    "SELECT * FROM Suppliers, OrdersWest "
+    "WHERE OrdersWest.supplier = Suppliers.sid AND Suppliers.city = 'city1'"
 )
 
 
@@ -143,3 +153,72 @@ class TestWavePacking:
         service.run()
         assert service.scheduler.stats.cross_query_waves == 0
         assert service.scheduler.stats.max_in_flight == 1
+
+
+class TestRunnerReuse:
+    """Query tasks run on parked runner threads that outlive them."""
+
+    TENANTS = ("a", "b", "c", "d")
+    ROUNDS = 10
+
+    def run_closed_loop(self):
+        """Four closed-loop clients, ten queries each: every client
+        submits its next query only once its previous one is answered."""
+        service = FederationService(
+            build_federation(ExecutorOptions(parallel_submits=True)),
+            ServiceOptions(max_concurrent_queries=4),
+        )
+        sessions = [service.open_session(tenant) for tenant in self.TENANTS]
+        for round_index in range(self.ROUNDS):
+            for offset, session in enumerate(sessions):
+                sql = UNION if (round_index + offset) % 2 else JOIN
+                service.submit(session, sql)
+            service.run()
+        return service
+
+    def transcript(self, service):
+        return (
+            [
+                (t.ticket_id, t.status, t.result.rows, t.events)
+                for t in service.tickets
+            ],
+            service.clock.now_ms,
+            service.clock.stats,
+        )
+
+    def test_forty_queries_start_at_most_four_threads(self, thread_starts):
+        cold = self.run_closed_loop()
+        assert len(cold.tickets) == 40
+        assert all(t.status == "done" for t in cold.tickets)
+        assert cold.scheduler.stats.max_in_flight == 4
+        assert len(thread_starts) <= 4
+        # Warm runners: the same workload again starts no thread at all
+        # and reproduces the first run exactly.
+        del thread_starts[:]
+        warm = self.run_closed_loop()
+        assert thread_starts == []
+        assert self.transcript(warm) == self.transcript(cold)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_runners_of_its_own(self):
+        here = build_simple_service()
+        here.query(here.open_session("a"), SQL)  # parks a runner here
+        pid = os.fork()
+        if pid == 0:  # the child: must not take an inherited, threadless runner
+            try:
+                service = build_simple_service()
+                count = service.query(service.open_session("a"), SQL).count
+                os._exit(0 if count > 0 else 1)
+            except BaseException:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on an inherited runner")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
