@@ -81,9 +81,9 @@ class SubanswerCache:
         self._entries: dict[tuple[str, str], CacheEntry] = {}
         #: One cache may be shared by every query task of the serving
         #: layer; the lock keeps entry/stat mutation safe under
-        #: interleaved multi-query access (the fair-share scheduler's
-        #: strict handoff already serializes tasks, so the lock is
-        #: uncontended there — it protects direct multi-threaded use).
+        #: interleaved multi-query access (the fair-share scheduler runs
+        #: every task on one thread, so the lock is uncontended there —
+        #: it protects direct multi-threaded use).
         self._lock = threading.Lock()
 
     def _wrapper_stats(self, wrapper: str) -> CacheStats:

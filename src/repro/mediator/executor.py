@@ -89,7 +89,8 @@ class MediatorExecutor:
         if cache is None and self.options.cache_subanswers:
             cache = SubanswerCache()
         self.cache = cache
-        if scheduler is None:
+        owns_scheduler = scheduler is None
+        if owns_scheduler:
             scheduler = SubmitScheduler(
                 catalog,
                 max_concurrency=self.options.max_concurrency,
@@ -100,6 +101,7 @@ class MediatorExecutor:
         #: The dispatcher: built here, or handed in (duck-typed) by a
         #: caller that shares one across executors — the serving layer.
         self.scheduler = scheduler
+        self._owns_scheduler = owns_scheduler
         self.clock = scheduler.clock
         #: ``type(node) → handler``: the shared row operators over
         #: ``self._run(child)``, plus the nodes only the mediator runs.
@@ -111,7 +113,13 @@ class MediatorExecutor:
             Scatter: self._run_scatter,
         }
         self._submit_log: list[tuple[Submit, ExecutionResult]] = []
+        #: The plan :meth:`stage` prepared (until :meth:`execute` walks
+        #: it), its prefetch wave, the wave's outcomes by Submit node id,
+        #: and the clock reading the execution's times count from.
+        self._staged: PlanNode | None = None
+        self._wave: list[Submit] = []
         self._prefetched: dict[int, DispatchOutcome] = {}
+        self._start = 0.0
         #: Submit failures of the current execution (partial mode only).
         self._failures: list[SubmitFailure] = []
         #: Submits the current execution dispatched, how many of them the
@@ -127,13 +135,28 @@ class MediatorExecutor:
         self._trace_compose = False
 
     def set_tracer(self, tracer: SpanTracer, trace_compose: bool = True) -> None:
-        """Install a span tracer on the executor and its scheduler."""
+        """Install a span tracer on the executor and on the scheduler it
+        built; a shared scheduler keeps the tracer of its owner."""
         self.tracer = tracer
-        self.scheduler.tracer = tracer
+        if self._owns_scheduler:
+            self.scheduler.tracer = tracer
         self._trace_compose = tracer.enabled and trace_compose
 
-    def execute(self, plan: PlanNode) -> ExecutionResult:
-        """Execute a plan; returns rows plus mediator-measured times."""
+    def stage(self, plan: PlanNode) -> "list[Submit]":
+        """Begin an execution of ``plan`` and return its prefetch wave.
+
+        Resets the per-execution state and starts the execution's clock.
+        Under ``parallel_submits`` the wave is every Submit subtree of
+        the plan: distinct Submit subtrees never depend on each other
+        (wrapper subqueries are self-contained; only BindJoin
+        parameterizes its probes, and those are built during the walk,
+        not as plan Submits), so the whole set is one independent wave,
+        sent before any row work (§2.2: subqueries out, subanswers back,
+        then composition).  The sequential executor's wave is empty.
+
+        A caller that dispatches the wave itself hands the outcomes to
+        :meth:`deliver` and then walks the plan with :meth:`execute`.
+        """
         self._submit_log = []
         self._prefetched = {}
         self._failures = []
@@ -143,10 +166,35 @@ class MediatorExecutor:
             ResilienceStats() if self.options.resilience is not None else None
         )
         self._replication = ReplicaStats() if self.catalog.has_replicas() else None
-        start = self.clock.now_ms
-        if self.options.parallel_submits:
-            self._prefetch_submits(plan)
-        rows, time_first, total = timed_rows(self._run(plan), self.clock, start)
+        self._start = self.clock.now_ms
+        self._wave = (
+            [node for node in plan.walk() if isinstance(node, Submit)]
+            if self.options.parallel_submits
+            else []
+        )
+        self._staged = plan
+        return self._wave
+
+    def deliver(self, outcomes: "Sequence[DispatchOutcome]") -> None:
+        """Hand the outcomes of the staged wave, in wave order, to the walk."""
+        self._fold(outcomes)
+        self._prefetched = {
+            submit.node_id: outcome for submit, outcome in zip(self._wave, outcomes)
+        }
+
+    def execute(self, plan: PlanNode) -> ExecutionResult:
+        """Execute a plan; returns rows plus mediator-measured times.
+
+        A plan :meth:`stage` prepared is walked on the outcomes
+        :meth:`deliver` handed over; any other plan is staged here and
+        its wave dispatched on :attr:`scheduler` first.
+        """
+        if self._staged is not plan:
+            wave = self.stage(plan)
+            if wave:
+                self.deliver(self.scheduler.dispatch_wave(wave))
+        self._staged = None
+        rows, time_first, total = timed_rows(self._run(plan), self.clock, self._start)
         return ExecutionResult(
             rows=rows,
             total_time_ms=total,
@@ -166,43 +214,31 @@ class MediatorExecutor:
             replication=self._replication,
         )
 
-    def _prefetch_submits(self, plan: PlanNode) -> None:
-        """Dispatch every Submit subtree of the plan as one wave.
-
-        Distinct Submit subtrees never depend on each other (wrapper
-        subqueries are self-contained; only BindJoin parameterizes its
-        probes, and those are built at run time, not as plan Submits), so
-        the whole set is one independent wave.
-        """
-        submits = [node for node in plan.walk() if isinstance(node, Submit)]
-        if not submits:
-            return
-        outcomes = self._dispatch(submits, wave=True)
-        self._prefetched = {
-            submit.node_id: outcome
-            for submit, outcome in zip(submits, outcomes)
-        }
-
     def _dispatch(
         self, submits: "list[Submit]", wave: bool
     ) -> "list[DispatchOutcome]":
-        """Every submit of the execution goes to the scheduler through
-        here, so every dispatch number the execution reports is folded
-        from its own outcomes: each submit is one cache lookup (a hit
-        when the outcome says so), carries its own fault and replica
-        events, and earns its share of the waves it rode.  (The cache's
-        and the scheduler's own counters are shared by every query in
-        flight.)"""
+        """The walk's own dispatches — sequential submits, Scatter
+        fan-outs and BindJoin probes — go to the scheduler through here."""
         if wave:
             outcomes = self.scheduler.dispatch_wave(submits)
         else:
             outcomes = [self.scheduler.dispatch_one(submit) for submit in submits]
+        self._fold(outcomes)
+        return outcomes
+
+    def _fold(self, outcomes: "Sequence[DispatchOutcome]") -> None:
+        """Every outcome of the execution is folded here — the staged
+        wave's and the walk's — so every dispatch number the execution
+        reports comes from its own outcomes: each submit is one cache
+        lookup (a hit when the outcome says so), carries its own fault
+        and replica events, and earns its share of the waves it rode.
+        (The cache's and the scheduler's own counters are shared by
+        every query in flight.)"""
         self._dispatched += len(outcomes)
         for outcome in outcomes:
             self._cache_hits += outcome.cached
             outcome.fold_into(self._resilience, self._replication)
         self._saved_ms += wave_saving(outcomes)
-        return outcomes
 
     # -- operators ---------------------------------------------------------------
 

@@ -19,12 +19,7 @@ from repro.service.admission import (
     plan_wrappers,
 )
 from repro.service.plancache import PlanCache, PlanCacheStats
-from repro.service.scheduler import (
-    FairShareScheduler,
-    QueryTask,
-    SchedulerStats,
-    TaskDispatchProxy,
-)
+from repro.service.scheduler import FairShareScheduler, QueryTask, SchedulerStats
 from repro.service.service import (
     FederationService,
     ServiceOptions,
@@ -54,7 +49,6 @@ __all__ = [
     "ServiceOptions",
     "Session",
     "SessionManager",
-    "TaskDispatchProxy",
     "TenantPolicy",
     "Ticket",
     "plan_wrappers",

@@ -1,48 +1,45 @@
 """The fair-share inter-query scheduler.
 
-The mediator's executor is a synchronous, single-query engine: it walks
-one plan and blocks on its :class:`~repro.mediator.scheduler.
-SubmitScheduler` for every dispatch.  The serving layer runs *many*
-queries over one shared simulated clock, so each admitted query becomes
-a :class:`QueryTask` — an unmodified ``MediatorExecutor`` run as a
-coroutine — whose dispatch calls are intercepted by a
-:class:`TaskDispatchProxy` and handed to the coordinating
-:class:`FairShareScheduler` instead of hitting a wrapper directly.
-
-A task runs on a parked runner thread taken from a process-wide free
-list at its first step and handed back when it finishes, so a query
-costs no thread start.  The handoff is a pair of locks and is *strict*:
-exactly one thread (a task or the coordinator) runs at any instant,
-SimPy-style, so execution is fully deterministic — the threads are a
-coroutine mechanism, not a source of parallelism.  The free list is
-unbounded because a suspended task keeps its runner: a fixed-size pool
-would deadlock once every runner held a suspended task and the
-coordinator started one more.  The coordinator repeatedly
+The mediator's executor is a synchronous, single-query engine.  Under
+``parallel_submits`` it sends every Submit of a plan as one prefetch
+wave before it does any row work (§2.2: subqueries go out, subanswers
+come back, then the mediator composes), so a query is one dispatch
+request that its plan alone determines, followed by a walk that never
+waits on another query.  The serving layer runs *many* queries over one
+shared simulated clock, so each admitted query becomes a
+:class:`QueryTask` that runs in two steps on the coordinator's own
+thread: the first stages the plan and parks its wave as a request, the
+second hands the wave's outcomes back and walks the plan to the end.
+The coordinating :class:`FairShareScheduler` repeatedly
 
 1. **starts** queued queries when admission headroom frees, picking
    tenants by deficit round-robin weighted by their quota;
-2. **advances** every runnable task until it blocks on a dispatch
-   request (or finishes);
-3. **packs** the pending requests of the round into combined submit
+2. **advances** every running task by one step;
+3. **packs** the parked requests of the round into combined submit
    waves — interleaved across tenants, honoring a per-wrapper cap — and
    dispatches them on the shared :class:`SubmitScheduler`, so wrapper
    waits of *different queries* overlap on the
    :class:`~repro.sources.clock.ParallelClock`.
 
+Each task's executor is built on the shared scheduler itself, so the
+dispatches of a walk — a BindJoin's probe waves, every submit of the
+sequential executor (whose prefetch wave is empty, so its whole walk is
+one step) — go straight to it, unpacked.  Everything runs on one
+thread, so execution is fully deterministic.
+
 Equivalence guarantee (tested in ``tests/service/test_equivalence.py``):
-when exactly one task is in the round, its requests pass through 1:1 —
-``dispatch_one`` for single sequential submits, ``dispatch_wave`` for
-the executor's own waves — so a service at concurrency 1 produces
+when exactly one task is in the round, its wave passes through 1:1 as
+one ``dispatch_wave``, so a service at concurrency 1 produces
 byte-identical results, submit logs, and clock totals to calling
 ``Mediator.query`` directly.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.algebra.logical import Submit
@@ -54,89 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import SpanTracer
 
 
-@dataclass
-class _DispatchRequest:
-    """One blocked dispatch call of one task, awaiting the coordinator."""
-
-    submits: list[Submit]
-    #: ``"one"`` for a sequential ``dispatch_one`` call, ``"wave"`` for
-    #: an executor-issued ``dispatch_wave`` — the distinction matters
-    #: only in single-task rounds, where it is preserved exactly.
-    mode: str
-    outcomes: list[DispatchOutcome | None] = field(default_factory=list)
-
-
-class TaskDispatchProxy:
-    """Stands in for the executor's ``SubmitScheduler`` inside a task.
-
-    Dispatch methods block the task thread and yield to the coordinator,
-    which runs the request on the shared scheduler and hands back its
-    outcomes — failed ones included, so a wrapper fault surfaces in the
-    task that owns the submit, never in the coordinator.  The outcomes
-    carry every per-query dispatch number the executor folds (cache hit,
-    fault and replica events, wave share), so the only other state it
-    reads from its dispatcher is the shared clock.
-    """
-
-    def __init__(self, task: "QueryTask", shared: SubmitScheduler) -> None:
-        self._task = task
-        self.clock = shared.clock
-        #: ``MediatorExecutor.set_tracer`` assigns this; the per-task
-        #: tracer is used by the executor's compose spans, while submit
-        #: and wave spans stay on the shared scheduler's own tracer.
-        self.tracer = shared.tracer
-
-    def dispatch_one(self, submit: Submit) -> DispatchOutcome:
-        outcomes = self._task.await_dispatch(
-            _DispatchRequest(submits=[submit], mode="one")
-        )
-        return outcomes[0]
-
-    def dispatch_wave(self, submits: "list[Submit]") -> "list[DispatchOutcome]":
-        if not submits:
-            return []
-        return self._task.await_dispatch(
-            _DispatchRequest(submits=list(submits), mode="wave")
-        )
-
-
-class _Runner:
-    """One parked daemon thread that runs query tasks, one after another.
-
-    ``go`` and ``back`` are plain locks used as binary semaphores, both
-    held while the runner is parked: the coordinator resumes the task
-    with ``go.release(); back.acquire()`` and the task yields with
-    ``back.release(); go.acquire()``, so exactly one side runs at any
-    instant.  The coordinator hands a finished task's runner back to
-    ``_FREE_RUNNERS``; the task thread itself never touches the list.
-    """
-
-    def __init__(self) -> None:
-        self.go = threading.Lock()
-        self.back = threading.Lock()
-        self.go.acquire()
-        self.back.acquire()
-        self.task: "QueryTask | None" = None
-        threading.Thread(
-            target=self._loop, name="query-task-runner", daemon=True
-        ).start()
-
-    def _loop(self) -> None:
-        while True:
-            self.go.acquire()
-            self.task._run()  # type: ignore[union-attr]
-
-
-#: Process-wide parked runners; unbounded on purpose (see the module
-#: docstring), it grows to the peak number of tasks in flight at once.
-_FREE_RUNNERS: "list[_Runner]" = []
-if hasattr(os, "register_at_fork"):
-    # A forked child inherits the list but none of the parked threads.
-    os.register_at_fork(after_in_child=_FREE_RUNNERS.clear)
-
-
 class QueryTask:
-    """One admitted query, run as a strict-handoff coroutine on a runner."""
+    """One admitted query, run in two steps on the coordinator's thread."""
 
     def __init__(
         self,
@@ -144,76 +60,49 @@ class QueryTask:
         tenant: str,
         estimated_ms: float,
         plan,
+        executor: "MediatorExecutor",
         tracer: "SpanTracer | None" = None,
     ) -> None:
         self.ticket = ticket
         self.tenant = tenant
         self.estimated_ms = estimated_ms
-        #: Set by the service once built: the executor dispatches through
-        #: a proxy that needs this task first.
-        self.executor: "MediatorExecutor | None" = None
         self.plan = plan
+        self.executor = executor
         self.tracer = tracer
         self.execution = None
-        self.error: BaseException | None = None
+        self.error: Exception | None = None
         self.finished = False
         #: Set by the service: the plan's OptimizationResult and the
         #: original SQL text (for the final QueryResult).
         self.optimized = None
         self.sql: str | None = None
-        self.request: _DispatchRequest | None = None
-        #: Taken at the first ``advance()``, returned once finished.
-        self._runner: _Runner | None = None
-
-    # -- task-thread side ------------------------------------------------------
-
-    def _run(self) -> None:
-        try:
-            if self.tracer is not None and self.tracer.enabled:
-                with self.tracer.span("query", kind="query"):
-                    with self.tracer.span("execute", kind="phase"):
-                        self.execution = self.executor.execute(self.plan)
-            else:
-                self.execution = self.executor.execute(self.plan)
-        except BaseException as exc:  # noqa: BLE001 - reported via the ticket
-            self.error = exc
-        finally:
-            self.finished = True
-            self._runner.back.release()  # type: ignore[union-attr]
-
-    def await_dispatch(
-        self, request: _DispatchRequest
-    ) -> "list[DispatchOutcome]":
-        """Park the task until the coordinator delivers outcomes."""
-        self.request = request
-        runner = self._runner
-        assert runner is not None
-        runner.back.release()
-        runner.go.acquire()
-        assert all(outcome is not None for outcome in request.outcomes)
-        return request.outcomes  # type: ignore[return-value]
-
-    # -- coordinator side ------------------------------------------------------
+        #: The staged prefetch wave, parked until the coordinator has
+        #: filled :attr:`outcomes` (in wave order).
+        self.request: list[Submit] | None = None
+        self.outcomes: list[DispatchOutcome | None] = []
+        #: The task's open ``query``/``execute`` spans.
+        self._spans = ExitStack()
 
     def advance(self) -> None:
-        """Run the task until its next dispatch request or finish."""
-        runner = self._runner
-        if runner is None:
-            # pop() itself, not a length check first: another
-            # coordinator thread may take the last runner in between.
-            try:
-                runner = _FREE_RUNNERS.pop()
-            except IndexError:
-                runner = _Runner()
-            runner.task = self
-            self._runner = runner
-        self.request = None
-        runner.go.release()
-        runner.back.acquire()
-        if self.finished:
-            self._runner = None
-            runner.task = None
-            _FREE_RUNNERS.append(runner)
+        """Stage the plan and park its wave; once the coordinator has
+        filled the outcomes, deliver them and walk the plan to the end.
+        A plan with an empty wave is walked in its first step."""
+        try:
+            if self.request is None:
+                if self.tracer is not None and self.tracer.enabled:
+                    self._spans.enter_context(self.tracer.span("query", kind="query"))
+                    self._spans.enter_context(self.tracer.span("execute", kind="phase"))
+                self.request = self.executor.stage(self.plan) or None
+                if self.request is not None:
+                    return
+            else:
+                self.request = None
+                self.executor.deliver(self.outcomes)
+            self.execution = self.executor.execute(self.plan)
+        except Exception as exc:  # noqa: BLE001 - reported via the ticket
+            self.error = exc
+        self._spans.close()
+        self.finished = True
 
 
 @dataclass
@@ -223,10 +112,13 @@ class SchedulerStats:
     started: int = 0
     completed: int = 0
     rounds: int = 0
+    #: Waves the coordinator packed from parked prefetch waves; a walk's
+    #: own dispatches go straight to the shared scheduler, uncounted.
     waves_dispatched: int = 0
     #: Waves that combined submits of two or more distinct queries — the
     #: direct evidence of cross-query overlap.
     cross_query_waves: int = 0
+    #: Submits in the coordinator's packed waves.
     submits_dispatched: int = 0
     #: High-water mark of concurrently running queries.
     max_in_flight: int = 0
@@ -421,21 +313,17 @@ class FairShareScheduler:
         self._dispatch_combined(waiting)
 
     def _dispatch_passthrough(self, task: QueryTask) -> None:
-        """Single-task round: forward the request 1:1 to the shared
-        scheduler, preserving one-vs-wave mode exactly.  This is the
-        code path the byte-identical equivalence guarantee rests on."""
-        request = task.request
-        assert request is not None
-        if request.mode == "one":
-            outcomes = [self.shared.dispatch_one(request.submits[0])]
-        else:
-            outcomes = list(self.shared.dispatch_wave(request.submits))
+        """Single-task round: forward the wave 1:1 to the shared
+        scheduler.  This is the code path the byte-identical equivalence
+        guarantee rests on."""
+        wave = task.request
+        assert wave is not None
+        task.outcomes = self.shared.dispatch_wave(wave)
         self.stats.waves_dispatched += 1
-        self.stats.submits_dispatched += len(request.submits)
-        request.outcomes = outcomes
+        self.stats.submits_dispatched += len(wave)
 
     def _dispatch_combined(self, waiting: "list[QueryTask]") -> None:
-        """Pack every pending request of the round into shared waves.
+        """Pack every parked wave of the round into shared waves.
 
         Submits are interleaved across tasks in tenant round-robin order
         (one submit per task per turn), so no single chatty query can
@@ -443,60 +331,43 @@ class FairShareScheduler:
         round into successive waves when one wrapper would be asked for
         too many concurrent subqueries.
         """
-        for task in waiting:
-            request = task.request
-            assert request is not None
-            request.outcomes = [None] * len(request.submits)
         order = [
             task
             for name in self._rr_order
             for task in waiting
             if task.tenant == name
         ]
-        # Tasks of tenants not in the rotation (cannot happen via the
-        # public API, but keep the packing total regardless).
-        order += [task for task in waiting if task not in order]
-        cursors = {id(task): 0 for task in order}
-        interleaved: list[tuple[_DispatchRequest, int]] = []
-        remaining = len(order)
-        while remaining:
-            remaining = 0
-            for task in order:
-                request = task.request
-                assert request is not None
-                cursor = cursors[id(task)]
-                if cursor >= len(request.submits):
-                    continue
-                interleaved.append((request, cursor))
-                cursors[id(task)] = cursor + 1
-                if cursor + 1 < len(request.submits):
-                    remaining += 1
+        for task in order:
+            task.outcomes = [None] * len(task.request)  # type: ignore[arg-type]
+        turns = zip_longest(
+            *([(task, index) for index in range(len(task.outcomes))] for task in order)
+        )
+        interleaved = [pair for turn in turns for pair in turn if pair is not None]
         for chunk in self._chunk_by_wrapper_cap(interleaved):
-            sources = {id(request) for request, _ in chunk}
-            submits = [request.submits[index] for request, index in chunk]
+            submits = [task.request[index] for task, index in chunk]  # type: ignore[index]
             outcomes = self.shared.dispatch_wave(submits)
             self.stats.waves_dispatched += 1
             self.stats.submits_dispatched += len(submits)
-            if len(sources) > 1:
+            if len({id(task) for task, _ in chunk}) > 1:
                 self.stats.cross_query_waves += 1
-            for (request, index), outcome in zip(chunk, outcomes):
-                request.outcomes[index] = outcome
+            for (task, index), outcome in zip(chunk, outcomes):
+                task.outcomes[index] = outcome
 
     def _chunk_by_wrapper_cap(
-        self, interleaved: "list[tuple[_DispatchRequest, int]]"
-    ) -> "list[list[tuple[_DispatchRequest, int]]]":
+        self, interleaved: "list[tuple[QueryTask, int]]"
+    ) -> "list[list[tuple[QueryTask, int]]]":
         cap = self.wrapper_wave_cap
         if cap is None:
             return [interleaved] if interleaved else []
-        chunks: list[list[tuple[_DispatchRequest, int]]] = []
-        current: list[tuple[_DispatchRequest, int]] = []
+        chunks: list[list[tuple[QueryTask, int]]] = []
+        current: list[tuple[QueryTask, int]] = []
         counts: dict[str, int] = {}
-        for request, index in interleaved:
-            wrapper = request.submits[index].wrapper
+        for task, index in interleaved:
+            wrapper = task.request[index].wrapper  # type: ignore[index]
             if counts.get(wrapper, 0) >= cap:
                 chunks.append(current)
                 current, counts = [], {}
-            current.append((request, index))
+            current.append((task, index))
             counts[wrapper] = counts.get(wrapper, 0) + 1
         if current:
             chunks.append(current)

@@ -18,10 +18,10 @@ queries on the shared simulated clock:
   drain + return the result), used by tests and simple clients.
 
 Everything is deterministic: time is the mediator's simulated clock,
-admission charges *estimated* cost, and the scheduler's thread handoff
-is strict.  Metrics go to the mediator's registry when observability is
-on (so ``expose_text`` shows serving and engine metrics side by side)
-and to a private registry otherwise.
+admission charges *estimated* cost, and the scheduler stages every
+query on the caller's own thread.  Metrics go to the mediator's
+registry when observability is on (so ``expose_text`` shows serving and
+engine metrics side by side) and to a private registry otherwise.
 
 Attribution: every per-query dispatch number — ``cache_hits`` /
 ``cache_misses``, ``parallel_saved_ms``, ``resilience`` and
@@ -50,7 +50,7 @@ from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.service.admission import DEFAULT_POLICY, AdmissionController, TenantPolicy
 from repro.service.calibration import CalibrationManager, CalibrationOptions
 from repro.service.plancache import PlanCache
-from repro.service.scheduler import FairShareScheduler, QueryTask, TaskDispatchProxy
+from repro.service.scheduler import FairShareScheduler, QueryTask
 from repro.service.session import PlanResolution, Session, SessionManager
 
 QUEUED = "queued"
@@ -359,29 +359,31 @@ class FederationService:
         self, ticket: Ticket, resolution: PlanResolution
     ) -> QueryTask:
         mediator = self.mediator
-        tracer = SpanTracer(self.clock) if self._trace_tasks else None
+        # A private executor per task — own submit log and prefetch
+        # state — on the shared scheduler itself, so all accounting
+        # lands on the one timeline, cache and catalog.
+        executor = MediatorExecutor(
+            mediator.catalog,
+            options=mediator.executor.options,
+            cache=mediator.executor.cache,
+            scheduler=self.scheduler.shared,
+        )
+        tracer = None
+        if self._trace_tasks:
+            tracer = SpanTracer(self.clock)
+            executor.set_tracer(
+                tracer, trace_compose=mediator.observability.trace_compose
+            )
         task = QueryTask(
             ticket=ticket,
             tenant=ticket.tenant,
             estimated_ms=ticket.estimated_ms,
             plan=resolution.optimized.plan,
+            executor=executor,
             tracer=tracer,
         )
         task.optimized = resolution.optimized
         task.sql = resolution.sql
-        # A private executor per task — own submit log and prefetch
-        # state — dispatching through the shared scheduler, so all
-        # accounting lands on the one timeline, cache and catalog.
-        executor = task.executor = MediatorExecutor(
-            mediator.catalog,
-            options=mediator.executor.options,
-            cache=mediator.executor.cache,
-            scheduler=TaskDispatchProxy(task, mediator.executor.scheduler),
-        )
-        if tracer is not None:
-            executor.set_tracer(
-                tracer, trace_compose=mediator.observability.trace_compose
-            )
         return task
 
     def _on_task_start(self, task: QueryTask) -> None:

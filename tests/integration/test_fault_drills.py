@@ -17,7 +17,6 @@ from repro.mediator.mediator import Mediator
 from repro.obs import ObservabilityOptions
 from repro.rt import RealTimeBackend
 from repro.service import FederationService, ServiceOptions
-from repro.service import scheduler as service_scheduler
 from repro.wrappers.base import Wrapper
 from repro.wrappers.faults import FaultInjector, FaultProfile
 from tests.federation_fixtures import build_oo7_wrapper, build_sales_wrapper
@@ -35,17 +34,6 @@ def backend(request):
         return
     with RealTimeBackend(max_workers=2) as real:
         yield real
-
-
-@pytest.fixture
-def private_runners(monkeypatch):
-    """An empty runner free list of the test's own, so it sees exactly
-    the runners its service returns; they join the shared list after."""
-    shared = service_scheduler._FREE_RUNNERS
-    private = []
-    monkeypatch.setattr(service_scheduler, "_FREE_RUNNERS", private)
-    yield private
-    shared.extend(private)
 
 
 def build_mediator(sales, backend=None, parallel=True, observability=None):
@@ -124,9 +112,7 @@ def test_the_original_exception_object_is_reraised(backend, parallel):
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "wave"])
-def test_the_service_fails_only_the_owning_ticket(
-    parallel, private_runners, thread_starts
-):
+def test_the_service_fails_only_the_owning_ticket(parallel, thread_starts):
     sales = FaultInjector(build_sales_wrapper(), BROKEN)
     service = FederationService(
         build_mediator(sales, parallel=parallel), ServiceOptions()
@@ -141,9 +127,7 @@ def test_the_service_fails_only_the_owning_ticket(
     assert str(ticket_a.error) == "source 'sales' failed transiently"
     assert ticket_b.status == "done"
     assert ticket_b.result.count == 10
-    # The failed query's runner is parked again beside the other one,
-    # so the follow-up query reuses a runner instead of starting one.
-    assert len(private_runners) == 2
+    # The follow-up query runs on the caller's thread: it starts none.
     del thread_starts[:]
     sales.set_profile(FaultProfile())
     assert service.query(tenant_a, ORDERS).count == 36

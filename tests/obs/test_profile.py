@@ -234,3 +234,26 @@ class TestServiceTimeline:
         assert first.status == "done" and second.status == "done"
         events = [entry["event"] for entry in second.result.profile.timeline]
         assert events == ["submit", "queue", "start", "finish"]
+
+    def test_task_spans_stay_on_the_task_and_submit_spans_on_the_mediator(self):
+        from repro.service.service import FederationService
+
+        mediator = join_mediator(
+            observability=ObservabilityOptions.all_on(), parallel_submits=True
+        )
+        service = FederationService(mediator)
+        result = service.query(service.open_session("analytics"), JOIN_SQL)
+        # The task's executor shares the mediator's scheduler; installing
+        # the task tracer must not take that scheduler's tracer over.
+        shared = mediator.telemetry.tracer
+        assert mediator.executor.scheduler.tracer is shared
+        root = result.trace
+        assert (root.name, [child.name for child in root.children]) == (
+            "query",
+            ["execute"],
+        )
+        assert root.end_ms is not None and root.children[0].end_ms is not None
+        assert root.find(kind="compose")
+        assert not root.find(kind="submit") and not root.find(kind="wave")
+        assert any(span.find(kind="wave") for span in shared.roots)
+        assert any(span.find(kind="submit") for span in shared.roots)

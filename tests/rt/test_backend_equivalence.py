@@ -14,8 +14,9 @@ a hedge-armed policy):
   default wiring adds nothing.
 
 A third check runs the serving layer on the real-time backend: query
-tasks on their runner threads beside real dispatch pool threads must
-answer exactly what SQLite and a plain Python join answer.
+tasks staged on the caller's thread, their waves fanned out on real
+dispatch pool threads, must answer exactly what SQLite and a plain
+Python join answer.
 """
 
 import json

@@ -1,16 +1,20 @@
-"""Deficit round-robin fairness, cross-query wave packing and runner reuse."""
+"""Deficit round-robin fairness, cross-query wave packing, and query tasks
+that run on the caller's thread."""
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.bench.harness import build_federation
-from repro.mediator.executor import ExecutorOptions
+from repro.mediator.executor import ExecutorOptions, MediatorExecutor
 from repro.mediator.mediator import Mediator
+from repro.oo7 import TINY
+from repro.oo7.workload import build_workload
 from repro.service import FederationService, ServiceOptions, TenantPolicy
-from tests.federation_fixtures import build_sales_wrapper
+from tests.federation_fixtures import build_oo7_wrapper, build_sales_wrapper
 
 SQL = "SELECT sid FROM Suppliers WHERE city = 'city1'"
 UNION = (
@@ -155,8 +159,8 @@ class TestWavePacking:
         assert service.scheduler.stats.max_in_flight == 1
 
 
-class TestRunnerReuse:
-    """Query tasks run on parked runner threads that outlive them."""
+class TestCoordinatorThread:
+    """Query tasks are staged on the thread that drives the service."""
 
     TENANTS = ("a", "b", "c", "d")
     ROUNDS = 10
@@ -186,25 +190,44 @@ class TestRunnerReuse:
             service.clock.stats,
         )
 
-    def test_forty_queries_start_at_most_four_threads(self, thread_starts):
+    def test_forty_queries_start_no_thread(self, thread_starts):
         cold = self.run_closed_loop()
         assert len(cold.tickets) == 40
         assert all(t.status == "done" for t in cold.tickets)
         assert cold.scheduler.stats.max_in_flight == 4
-        assert len(thread_starts) <= 4
-        # Warm runners: the same workload again starts no thread at all
-        # and reproduces the first run exactly.
-        del thread_starts[:]
+        assert thread_starts == []
+        # The same workload again reproduces the first run exactly.
         warm = self.run_closed_loop()
         assert thread_starts == []
         assert self.transcript(warm) == self.transcript(cold)
 
+    def test_every_walk_runs_on_the_callers_thread(self, monkeypatch):
+        walkers = []
+        execute = MediatorExecutor.execute
+
+        def recording_execute(executor, plan):
+            walkers.append(threading.current_thread())
+            return execute(executor, plan)
+
+        monkeypatch.setattr(MediatorExecutor, "execute", recording_execute)
+        service = FederationService(
+            build_federation(ExecutorOptions(parallel_submits=True)),
+            ServiceOptions(max_concurrent_queries=4),
+        )
+        for index in range(8):
+            session = service.open_session(self.TENANTS[index % 4])
+            service.submit(session, UNION if index % 2 else JOIN)
+        service.run()
+        assert all(t.status == "done" for t in service.tickets)
+        assert service.scheduler.stats.max_in_flight == 4
+        assert walkers == [threading.current_thread()] * 8
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_runners_of_its_own(self):
+    def test_a_forked_child_answers_a_query(self):
         here = build_simple_service()
-        here.query(here.open_session("a"), SQL)  # parks a runner here
+        here.query(here.open_session("a"), SQL)
         pid = os.fork()
-        if pid == 0:  # the child: must not take an inherited, threadless runner
+        if pid == 0:  # the child: a service of its own must answer
             try:
                 service = build_simple_service()
                 count = service.query(service.open_session("a"), SQL).count
@@ -219,6 +242,43 @@ class TestRunnerReuse:
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                pytest.fail("the forked child hung on an inherited runner")
+                pytest.fail("the forked child hung")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestSequentialWalksDoNotOverlap:
+    """A sequential-executor query has an empty prefetch wave, so the
+    service walks it start to finish in one step: at any concurrency it
+    runs exactly as at concurrency 1 (overlap across queries comes from
+    prefetch waves, i.e. ``parallel_submits``)."""
+
+    def run_tiny_workload(self, concurrency):
+        mediator = Mediator()
+        mediator.register(build_oo7_wrapper())
+        mediator.register(build_sales_wrapper())
+        service = FederationService(
+            mediator,
+            ServiceOptions(max_concurrent_queries=concurrency, plan_cache=False),
+        )
+        sessions = [service.open_session(tenant) for tenant in "abcd"]
+        queries = build_workload(TINY, 7)
+        for index, query in enumerate(queries):
+            service.submit(sessions[index % 4], query.sql)
+        service.run()
+        clock = mediator.executor.clock
+        return service, (clock.now_ms, clock.stats.wait_ms, clock.stats.messages)
+
+    def test_concurrency_four_runs_like_concurrency_one(self):
+        solo, solo_clock = self.run_tiny_workload(concurrency=1)
+        service, clock = self.run_tiny_workload(concurrency=4)
+        assert len(service.tickets) == 9
+        assert service.scheduler.stats.max_in_flight == 4
+        assert service.scheduler.stats.cross_query_waves == 0
+        assert clock == solo_clock
+        for ticket, solo_ticket in zip(service.tickets, solo.tickets):
+            assert ticket.status == solo_ticket.status == "done"
+            assert ticket.result.rows == solo_ticket.result.rows
+            assert ticket.result.elapsed_ms == pytest.approx(
+                solo_ticket.result.elapsed_ms
+            )
