@@ -11,8 +11,7 @@ algebraic operators are always the same" — the mediator algebra covers:
 * :class:`Submit`, "used to model the issuing of a subplan to a wrapper".
 
 Plans are immutable trees.  Every node knows its ``operator_name`` (the
-name rule heads match on), its children, and how to describe itself for
-rule unification via :meth:`PlanNode.match_args`.
+name rule heads match on), its children, and how to describe itself.
 
 The cost estimator annotates plans externally (it never mutates nodes), so
 a single plan object can be costed under several cost models — exactly
@@ -118,10 +117,6 @@ class PlanNode:
             self._primary_collection = primary
         return primary
 
-    def match_args(self) -> tuple[Any, ...]:
-        """The argument tuple rule heads unify against (see core.rules)."""
-        return ()
-
     # -- display ---------------------------------------------------------------
 
     def describe(self) -> str:
@@ -150,9 +145,6 @@ class Scan(PlanNode):
             raise PlanError("scan needs a collection name")
         self.collection = collection
 
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.collection,)
-
     def describe(self) -> str:
         return f"scan({self.collection})"
 
@@ -170,9 +162,6 @@ class Select(PlanNode):
     @property
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
-
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.child, self.predicate)
 
     def describe(self) -> str:
         return f"select({self.predicate})"
@@ -214,9 +203,6 @@ class Project(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.child, self.attributes)
-
     def describe(self) -> str:
         parts = [
             f"{self.renames[a]} AS {a}" if a in self.renames else a
@@ -247,9 +233,6 @@ class Sort(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.child, self.keys)
-
     def describe(self) -> str:
         direction = " DESC" if self.descending else ""
         return f"sort({', '.join(self.keys)}{direction})"
@@ -267,9 +250,6 @@ class Distinct(PlanNode):
 
     @property
     def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def match_args(self) -> tuple[Any, ...]:
         return (self.child,)
 
     def describe(self) -> str:
@@ -297,9 +277,6 @@ class Aggregate(PlanNode):
     @property
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
-
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.child, self.group_by, self.aggregates)
 
     def describe(self) -> str:
         parts = [str(spec) for spec in self.aggregates]
@@ -346,9 +323,6 @@ class Join(PlanNode):
     def right_attribute(self) -> AttributeRef:
         assert isinstance(self.predicate.right, AttributeRef)
         return self.predicate.right
-
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.left, self.right, self.predicate)
 
     def describe(self) -> str:
         return f"join({self.predicate})"
@@ -403,9 +377,6 @@ class BindJoin(PlanNode):
     def base_collections(self) -> set[str]:
         return super().base_collections() | {self.inner_collection}
 
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.outer, self.inner_collection)
-
     def describe(self) -> str:
         return (
             f"bindjoin({self.outer_attribute} -> "
@@ -425,9 +396,6 @@ class Union(PlanNode):
 
     @property
     def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def match_args(self) -> tuple[Any, ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
@@ -468,9 +436,6 @@ class Submit(PlanNode):
     @property
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
-
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.child, self.wrapper)
 
     def describe(self) -> str:
         return f"submit[{self.wrapper}]"
@@ -524,9 +489,6 @@ class Scatter(PlanNode):
 
     def base_collections(self) -> set[str]:
         return {self.collection}
-
-    def match_args(self) -> tuple[Any, ...]:
-        return (self.collection,)
 
     def describe(self) -> str:
         return (

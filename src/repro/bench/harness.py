@@ -22,7 +22,6 @@ from typing import Any, Iterable, Sequence
 
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
-from repro.obs import ObservabilityOptions
 from repro.sources.clock import CostProfile, SimClock
 from repro.sources.storage_engine import StorageEngine
 from repro.wrappers.base import StorageWrapper
@@ -149,7 +148,7 @@ WORKLOAD: tuple[tuple[str, str], ...] = (
 
 def build_federation(
     options: ExecutorOptions | None = None,
-    observability: "ObservabilityOptions | None" = None,
+    observability: bool = False,
     wrap=None,
 ) -> Mediator:
     """A fresh three-branch federation (fresh engines: comparisons across
@@ -216,10 +215,6 @@ class TenantWorkload:
 
     def query_at(self, client: int, index: int) -> "tuple[str, str]":
         return self.queries[(client + index) % len(self.queries)]
-
-    @property
-    def total_queries(self) -> int:
-        return self.clients * self.queries_per_client
 
 
 def build_tenant_workloads(

@@ -34,14 +34,13 @@ QUERIES_PER_CELL = 8
 
 
 def build_sharded_federation(
-    shards: int, rows: int, observability=None
+    shards: int, rows: int, observability: bool = False
 ) -> Mediator:
     """One wrapper ("node<i>") per shard of a hash-partitioned Orders.
 
     Rows are placed exactly where the scheme routes them (``oid % S``),
     so shard pruning is sound by construction.  ``observability`` passes
-    through to the mediator — the ops CLI's ``record`` subcommand uses
-    this builder with tracing on.
+    through to the mediator.
     """
     mediator = Mediator(observability=observability)
     for index in range(shards):

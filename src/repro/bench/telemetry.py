@@ -5,7 +5,7 @@ The observability layer (``repro.obs``) promises two things:
 * **zero perturbation** — telemetry reads the simulated clock, it never
   charges it, so every simulated measurement (``elapsed_ms``, saved ms,
   cache counters) must be bit-identical with telemetry on or off;
-* **cheap when off** — with ``ObservabilityOptions(enabled=False)`` (the
+* **cheap when off** — with ``Mediator(observability=False)`` (the
   default) every instrumentation site short-circuits on the shared null
   tracer, so the *wall-clock* cost of the pipeline should be unchanged.
 
@@ -26,7 +26,6 @@ from statistics import median
 
 from repro.bench.harness import WORKLOAD, build_federation, format_table
 from repro.mediator.executor import ExecutorOptions
-from repro.obs import ObservabilityOptions
 
 
 @dataclass
@@ -98,7 +97,7 @@ class TelemetryExperiment:
 _EXECUTOR = ExecutorOptions(parallel_submits=True, cache_subanswers=True)
 
 
-def _run_workload(observability: ObservabilityOptions | None):
+def _run_workload(observability: bool):
     """One fresh federation through the whole workload; returns
     (wall seconds, total simulated ms, mediator)."""
     mediator = build_federation(_EXECUTOR, observability=observability)
@@ -111,10 +110,7 @@ def _run_workload(observability: ObservabilityOptions | None):
 
 def run_telemetry_experiment(repetitions: int = 9) -> TelemetryExperiment:
     experiment = TelemetryExperiment(repetitions=repetitions)
-    modes: tuple[tuple[str, ObservabilityOptions | None], ...] = (
-        ("off (default)", None),
-        ("on (all layers)", ObservabilityOptions.all_on()),
-    )
+    modes = (("off (default)", False), ("on (all layers)", True))
     medians: dict[str, float] = {}
     simulated_totals: dict[str, float] = {}
     for mode_label, observability in modes:
@@ -137,11 +133,9 @@ def run_telemetry_experiment(repetitions: int = 9) -> TelemetryExperiment:
     )
 
     # One instrumented pass per query for the payoff tables.
-    mediator = build_federation(
-        _EXECUTOR, observability=ObservabilityOptions.all_on()
-    )
+    mediator = build_federation(_EXECUTOR, observability=True)
     telemetry = mediator.telemetry
-    assert telemetry is not None and telemetry.drift is not None
+    assert telemetry is not None
     total_hits = total_misses = total_submits = 0
     for label, sql in WORKLOAD:
         drift_before = telemetry.drift.observations
@@ -161,7 +155,6 @@ def run_telemetry_experiment(repetitions: int = 9) -> TelemetryExperiment:
             )
         )
     metrics = telemetry.metrics
-    assert metrics is not None
     experiment.metrics_consistent = (
         metrics["repro_cache_hits_total"].total() == total_hits
         and metrics["repro_cache_misses_total"].total() == total_misses

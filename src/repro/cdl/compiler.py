@@ -59,9 +59,6 @@ class CompiledCostInfo:
     functions: dict[str, Callable[..., Value]] = field(default_factory=dict)
     schema: dict[str, InterfaceDef] = field(default_factory=dict)
 
-    def collection_names(self) -> list[str]:
-        return sorted(self.schema)
-
 
 def compile_document(
     document: Document,

@@ -28,15 +28,7 @@ from repro.core.rules import (
     var,
 )
 from repro.core.scopes import RuleRepository, Scope
-from repro.core.selectivity import (
-    EquiDepthHistogram,
-    EquiWidthHistogram,
-    index_scan_cost_linear,
-    index_scan_cost_yao,
-    yao_exact,
-    yao_fraction,
-    yao_pages,
-)
+from repro.core.selectivity import EquiDepthHistogram, EquiWidthHistogram
 from repro.core.statistics import (
     AttributeStats,
     CollectionStats,
@@ -67,8 +59,6 @@ __all__ = [
     "SourceEnvironment",
     "StatisticsCatalog",
     "calibrate_wrapper",
-    "index_scan_cost_linear",
-    "index_scan_cost_yao",
     "install_generic_model",
     "install_local_model",
     "join_pattern",
@@ -79,7 +69,4 @@ __all__ = [
     "select_pattern",
     "standard_repository",
     "var",
-    "yao_exact",
-    "yao_fraction",
-    "yao_pages",
 ]

@@ -67,12 +67,6 @@ class CalibrationResult:
             + self.coefficients.ms_per_object_index * selected
         )
 
-    def predicted_scan_ms(self, count: float) -> float:
-        return (
-            self.coefficients.ms_scan_startup
-            + self.coefficients.ms_per_object_scanned * count
-        )
-
 
 def _numeric_indexed_attribute(stats: CollectionStats) -> str | None:
     """An indexed attribute with a numeric range, preferring more distinct

@@ -49,7 +49,6 @@ from repro.algebra.logical import PlanNode, Submit
 from repro.core.formulas import (
     BUILTIN_FUNCTIONS,
     DERIVED_VARIABLES,
-    Formula,
     RESULT_VARIABLES,
     Value,
 )
@@ -124,9 +123,6 @@ class NodeEstimate:
     #: the node (once, on the first variable that needs them).
     source: str | None = field(default=None, repr=False, compare=False)
     matches: list[RuleMatch] | None = field(default=None, repr=False, compare=False)
-
-    def value(self, variable: str) -> Value:
-        return self.values[variable]
 
     @property
     def total_time(self) -> float:

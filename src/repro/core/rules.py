@@ -370,13 +370,6 @@ class CostRule:
 # ---------------------------------------------------------------------------
 
 
-def _as_collection_arg(value: str) -> CollectionArg:
-    """Interpret a spelling: leading-uppercase single letters and ``R1``-style
-    names are **not** auto-variables — variables must be explicit via
-    :func:`var` or the CDL parser's declaration rules."""
-    return value
-
-
 def var(name: str) -> Var:
     """Create a free variable for use in rule heads."""
     return Var(name)

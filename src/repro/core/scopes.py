@@ -134,10 +134,6 @@ class RuleMatch:
     def scope(self) -> Scope:
         return self.scoped.scope
 
-    @property
-    def level(self) -> tuple[int, ...]:
-        return self.scoped.level
-
 
 def providing(matches: Iterable[RuleMatch], variable: str) -> list[RuleMatch]:
     """From a node's matches (most specific first), those to use for one

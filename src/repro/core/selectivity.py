@@ -1,6 +1,6 @@
 """Selectivity estimation and page-access models.
 
-Three families of estimators from the paper:
+Selectivity estimators from the paper:
 
 * **Uniform estimates** (§2.3): the generic cost model derives the
   selectivity of a restriction from ``Min``, ``Max`` and ``CountDistinct``
@@ -13,16 +13,13 @@ Three families of estimators from the paper:
   wrapper implementor may export "could handle, for example, histogram
   statistics [IP95, PIHS96]".  :class:`EquiWidthHistogram` and
   :class:`EquiDepthHistogram` implement the two classical shapes.
-* **Yao's formula** (§5, [Yao77]): the expected fraction of pages fetched
-  by an index scan that touches ``k`` of ``n`` records spread over ``m``
-  pages.  Both the exact form and the exponential approximation the paper
-  prints (``1 - exp(-sel * CountObject / CountPage)``) are provided; the
-  approximation is what Figure 13's wrapper rule ships to the mediator.
+* **Yao's formula** (§5, [Yao77]) is not computed here: the object
+  store's wrapper exports its exponential approximation as CDL text (the
+  Figure 13 rule), and the mediator evaluates it like any other rule.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -238,96 +235,3 @@ class EquiDepthHistogram(_Histogram):
                 Bucket(b_low, b_high, len(members), max(1, len(set(members))))
             )
         return cls(buckets, total)
-
-
-# ---------------------------------------------------------------------------
-# Yao's formula (§5)
-# ---------------------------------------------------------------------------
-
-
-def yao_exact(count_object: int, count_page: int, selected: int) -> float:
-    """Exact expected number of pages touched [Yao77].
-
-    Selecting ``selected`` of ``count_object`` records uniformly at random
-    without replacement, with records packed ``count_object / count_page``
-    per page, the expected number of distinct pages fetched is::
-
-        m * (1 - C(n - n/m, k) / C(n, k))
-
-    computed here in a numerically stable product form.
-    """
-    if count_page <= 0 or count_object <= 0:
-        return 0.0
-    selected = max(0, min(selected, count_object))
-    if selected == 0:
-        return 0.0
-    per_page = count_object / count_page
-    # probability that a fixed page is *missed* by all k picks
-    miss = 1.0
-    for pick in range(selected):
-        numerator = count_object - per_page - pick
-        denominator = count_object - pick
-        if numerator <= 0:
-            miss = 0.0
-            break
-        miss *= numerator / denominator
-    # With fewer objects than pages (n/m < 1) the model's expectation can
-    # exceed the pick count; clamp to the trivial bounds.
-    return min(count_page * (1.0 - miss), float(selected))
-
-
-def yao_fraction(selectivity: float, count_object: int, count_page: int) -> float:
-    """The paper's exponential approximation of Yao's formula.
-
-    ``Yao(sel) = 1 - exp(-sel * CountObject / CountPage)`` — the fraction
-    of pages fetched by an index scan of the given selectivity (§5).
-    """
-    if count_page <= 0:
-        return 0.0
-    selectivity = max(0.0, min(1.0, selectivity))
-    return 1.0 - math.exp(-selectivity * count_object / count_page)
-
-
-def yao_pages(selectivity: float, count_object: int, count_page: int) -> float:
-    """Expected page count via the exponential approximation."""
-    return count_page * yao_fraction(selectivity, count_object, count_page)
-
-
-def index_scan_cost_yao(
-    selectivity: float,
-    count_object: int,
-    count_page: int,
-    io_ms: float = 25.0,
-    output_ms: float = 9.0,
-) -> float:
-    """The corrected index-scan cost formula of §5 (and Figure 13)::
-
-        cost = IO * CountPage * Yao(sel) + sel * CountObject * Output
-
-    Defaults use the paper's constants, expressed in milliseconds
-    (IO = 0.025 s, Output = 0.009 s).
-    """
-    selected = selectivity * count_object
-    return (
-        io_ms * yao_pages(selectivity, count_object, count_page)
-        + selected * output_ms
-    )
-
-
-def index_scan_cost_linear(
-    selectivity: float,
-    count_object: int,
-    ms_per_selected_object: float,
-) -> float:
-    """The *calibrated* linear estimate Figure 12 shows overshooting.
-
-    The calibration approach of [DKS92]/[GST96] fits a single per-result
-    coefficient on probe queries and assumes response time proportional to
-    the number of selected objects ("the number of pages fetched is
-    proportional to the selectivity", §5).  Because the true page-access
-    curve saturates (Yao), a coefficient fitted on low-selectivity probes
-    overshoots at high selectivity — the gap Figure 12 displays.  The
-    coefficient itself comes from :mod:`repro.core.calibration`.
-    """
-    selectivity = max(0.0, min(1.0, selectivity))
-    return ms_per_selected_object * selectivity * count_object

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import UnknownStatisticError
 
@@ -291,10 +291,6 @@ class StatisticsCatalog:
 
     def names(self) -> list[str]:
         return sorted(self._collections)
-
-    def as_mapping(self) -> Mapping[str, CollectionStats]:
-        """Read-only view used by formula evaluation environments."""
-        return dict(self._collections)
 
     def remove(self, name: str) -> None:
         """Drop a collection's statistics (e.g. wrapper re-registration)."""

@@ -15,7 +15,7 @@ from repro.mediator.optimizer import (
 from repro.mediator.queryspec import QuerySpec, UnionSpec
 from repro.mediator.registration import register_wrapper
 from repro.mediator.scheduler import DispatchOutcome, SubmitScheduler
-from repro.obs import ObservabilityOptions, QueryTelemetry
+from repro.obs import QueryTelemetry
 
 __all__ = [
     "AdminConsole",
@@ -24,7 +24,6 @@ __all__ = [
     "DriftReport",
     "ExecutorOptions",
     "MEDIATOR_PROFILE",
-    "ObservabilityOptions",
     "QueryTelemetry",
     "UnionSpec",
     "Mediator",

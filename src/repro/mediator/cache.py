@@ -26,7 +26,7 @@ memory while the source is down is exactly the degraded-mode win.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.algebra.logical import PlanNode
 from repro.core.history import plan_fingerprint
@@ -39,14 +39,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
 
     def __str__(self) -> str:
         return f"{self.hits} hits / {self.misses} misses"
@@ -145,10 +137,6 @@ class SubanswerCache:
             for key in stale:
                 del self._entries[key]
             return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SubanswerCache({len(self)} entries, {self.stats})"

@@ -45,13 +45,12 @@ Design points, in the order they matter:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from repro.core.scopes import MEDIATOR_SOURCE
 
-#: Serialized wildcard marker for ``scope=None`` keys.
+#: Wildcard marker for ``scope=None`` keys in :meth:`CoefficientKey.as_string`.
 _WILDCARD = "*"
 
 
@@ -70,18 +69,6 @@ class CoefficientKey:
 
     def as_string(self) -> str:
         return f"{self.wrapper}|{self.scope or _WILDCARD}|{self.variable}"
-
-    @classmethod
-    def from_string(cls, text: str) -> "CoefficientKey":
-        parts = text.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"malformed coefficient key: {text!r}")
-        wrapper, scope, variable = parts
-        return cls(
-            wrapper=wrapper,
-            scope=None if scope == _WILDCARD else scope,
-            variable=variable,
-        )
 
 
 @dataclass(frozen=True)
@@ -132,10 +119,6 @@ class CoefficientUpdate:
     measured_ratio: float
     samples: int
 
-    @property
-    def step_ratio(self) -> float:
-        return self.proposed / self.previous
-
 
 @dataclass
 class CalibrationFit:
@@ -179,31 +162,6 @@ class CalibrationOverlay:
     @property
     def is_identity(self) -> bool:
         return all(m == 1.0 for m in self.multipliers.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "note": self.note,
-            "fitted_observations": self.fitted_observations,
-            "multipliers": {
-                key.as_string(): value
-                for key, value in sorted(
-                    self.multipliers.items(), key=lambda kv: kv[0].as_string()
-                )
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationOverlay":
-        return cls(
-            version=int(data["version"]),
-            note=str(data.get("note", "")),
-            fitted_observations=int(data.get("fitted_observations", 0)),
-            multipliers={
-                CoefficientKey.from_string(text): float(value)
-                for text, value in data.get("multipliers", {}).items()
-            },
-        )
 
 
 class CalibrationState:
@@ -280,39 +238,6 @@ class CalibrationState:
         self.active_version = version
         return self.active
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "active_version": self.active_version,
-            "versions": [overlay.to_dict() for overlay in self.versions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationState":
-        state = cls()
-        versions = [
-            CalibrationOverlay.from_dict(entry)
-            for entry in data.get("versions", [])
-        ]
-        if versions:
-            if versions[0].version != 0:
-                raise ValueError("calibration history must start at version 0")
-            state.versions = versions
-        active = int(data.get("active_version", 0))
-        if not 0 <= active < len(state.versions):
-            raise ValueError(f"active_version {active} out of range")
-        state.active_version = active
-        return state
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationState":
-        return cls.from_dict(json.loads(text))
-
-
 @dataclass
 class _Pool:
     """Per-key accumulator while grouping drift rows."""
@@ -333,10 +258,10 @@ class Calibrator:
     def fit(self, snapshot: dict, state: CalibrationState) -> CalibrationFit:
         """One fit pass over a drift window.
 
-        ``snapshot`` is a :meth:`DriftTracker.snapshot` dict (live or
-        loaded from ``drift.json``).  The returned fit is *not* applied;
-        pass its updates to :meth:`CalibrationState.apply` — or use
-        :meth:`fit_and_apply`.
+        ``snapshot`` is a :meth:`DriftTracker.snapshot` dict.  The
+        returned fit is *not* applied; a mediator installs its updates
+        with :meth:`MediatorCatalog.apply_calibration`, which also bumps
+        the catalog version.
         """
         policy = self.policy
         pools: dict[CoefficientKey, _Pool] = {}
@@ -413,41 +338,6 @@ class Calibrator:
         )
         return min(max(stepped, policy.clamp_min), policy.clamp_max)
 
-    def fit_and_apply(
-        self, snapshot: dict, state: CalibrationState, note: str = ""
-    ) -> tuple[CalibrationFit, CalibrationOverlay | None]:
-        """Fit, and apply as a new overlay iff anything changed."""
-        fit = self.fit(snapshot, state)
-        if not fit.changed:
-            return fit, None
-        overlay = state.apply(
-            fit.updates,
-            note=note or f"fit over {fit.observations} observations",
-            observations=fit.observations,
-        )
-        return fit, overlay
-
-
-def render_calibration_state(state: CalibrationState) -> str:
-    """Aligned text table of the overlay history (CLI ``show``)."""
-    lines = [
-        f"calibration: {len(state)} version(s), "
-        f"active v{state.active_version}"
-    ]
-    for overlay in state.versions:
-        marker = "*" if overlay.version == state.active_version else " "
-        lines.append(
-            f"{marker} v{overlay.version}  "
-            f"{len(overlay.multipliers)} coefficient(s)  "
-            f"obs={overlay.fitted_observations}  {overlay.note}"
-        )
-        for key, value in sorted(
-            overlay.multipliers.items(), key=lambda kv: kv[0].as_string()
-        ):
-            lines.append(f"    {key.as_string()} = {value:.4f}")
-    return "\n".join(lines)
-
-
 __all__ = [
     "CalibrationFit",
     "CalibrationOverlay",
@@ -456,5 +346,4 @@ __all__ = [
     "Calibrator",
     "CoefficientKey",
     "CoefficientUpdate",
-    "render_calibration_state",
 ]

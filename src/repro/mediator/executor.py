@@ -132,15 +132,15 @@ class MediatorExecutor:
         self._replication: ReplicaStats | None = None
         #: Telemetry sink; defaults to the shared no-op tracer.
         self.tracer: SpanTracer = NULL_TRACER
-        self._trace_compose = False
+        self._compose_spans = False
 
-    def set_tracer(self, tracer: SpanTracer, trace_compose: bool = True) -> None:
+    def set_tracer(self, tracer: SpanTracer) -> None:
         """Install a span tracer on the executor and on the scheduler it
         built; a shared scheduler keeps the tracer of its owner."""
         self.tracer = tracer
         if self._owns_scheduler:
             self.scheduler.tracer = tracer
-        self._trace_compose = tracer.enabled and trace_compose
+        self._compose_spans = tracer.enabled
 
     def stage(self, plan: PlanNode) -> "list[Submit]":
         """Begin an execution of ``plan`` and return its prefetch wave.
@@ -249,7 +249,7 @@ class MediatorExecutor:
         returns the operator's iterator untouched, so disabled telemetry
         costs nothing per row.
         """
-        if not self._trace_compose or isinstance(node, Submit):
+        if not self._compose_spans or isinstance(node, Submit):
             # Submit spans are emitted by the scheduler (which also sees
             # cache hits and waves); composition spans cover the rest.
             return self._run_node(node)

@@ -29,7 +29,7 @@ from repro.mediator.optimizer import OptimizationResult, Optimizer, OptimizerSta
 from repro.mediator.queryspec import QuerySpec, UnionSpec
 from repro.mediator.registration import register_wrapper
 from repro.mediator.resilience import PartialAnswer
-from repro.obs import ObservabilityOptions, QueryTelemetry
+from repro.obs import QueryTelemetry
 from repro.obs.trace import NULL_TRACER, Span, SpanTracer
 from repro.sources.pages import Row
 from repro.wrappers.base import ExecutionResult, Wrapper
@@ -88,7 +88,7 @@ class Mediator:
         self,
         record_history: bool = False,
         executor_options: ExecutorOptions | None = None,
-        observability: ObservabilityOptions | None = None,
+        observability: bool = False,
     ) -> None:
         self.catalog = MediatorCatalog()
         self.repository = standard_repository()
@@ -112,23 +112,17 @@ class Mediator:
         self.optimizer.health_view = self.executor.scheduler.open_breaker_wrappers
         self.executor.scheduler.replica_ranker = self.optimizer.rank_replicas
         self.history = HistoryStore(self.repository) if record_history else None
-        self.observability = (
-            observability if observability is not None else ObservabilityOptions()
-        )
+        self.observability = observability
         #: The telemetry bundle (tracer + metrics + drift); ``None`` when
         #: observability is off — disabled telemetry costs nothing.
         self.telemetry: QueryTelemetry | None = None
         self._tracer: SpanTracer = NULL_TRACER
-        if self.observability.enabled:
-            self.telemetry = QueryTelemetry(
-                self.observability, clock=self.executor.clock
-            )
+        if observability:
+            self.telemetry = QueryTelemetry(clock=self.executor.clock)
             self._tracer = self.telemetry.tracer
             self.estimator.tracer = self._tracer
             self.optimizer.tracer = self._tracer
-            self.executor.set_tracer(
-                self._tracer, trace_compose=self.observability.trace_compose
-            )
+            self.executor.set_tracer(self._tracer)
 
     # -- registration phase (§2.1) ---------------------------------------------
 
@@ -138,7 +132,7 @@ class Mediator:
             # Re-registration means the source's data or rules changed;
             # memoized subanswers from it are no longer trustworthy.
             self.executor.cache.invalidate_wrapper(wrapper.name)
-        if self.telemetry is not None and self.telemetry.drift is not None:
+        if self.telemetry is not None:
             # Registered sources report drift even before any submit is
             # measured ("no data" beats a silently missing row).
             self.telemetry.drift.expect_wrapper(wrapper.name)
@@ -160,7 +154,7 @@ class Mediator:
             # may be served; cached subanswers keyed on the primary stay
             # valid, but be conservative about the new name.
             self.executor.cache.invalidate_wrapper(wrapper.name)
-        if self.telemetry is not None and self.telemetry.drift is not None:
+        if self.telemetry is not None:
             self.telemetry.drift.expect_wrapper(wrapper.name)
         from repro.mediator.registration import register_replica
 

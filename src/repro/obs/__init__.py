@@ -1,8 +1,7 @@
 """Query telemetry: spans, metrics, and cost-model drift tracking.
 
-The subsystem has three independent layers, all optional and all off by
-default (:class:`ObservabilityOptions` on :class:`~repro.mediator.
-mediator.Mediator`):
+The subsystem has three layers, switched on together by
+``Mediator(observability=True)`` and off by default:
 
 * :mod:`repro.obs.trace` — span trees over the simulated clock (one root
   per query, children for parse/optimize/estimate/execute/submit/wave);
@@ -19,11 +18,9 @@ answered query.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.obs.accuracy import DriftObservation, DriftTracker, RuleDrift, q_error
-from repro.obs.export import chrome_trace, chrome_trace_json
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -43,43 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _BREAKER_STATES = ("closed", "half_open", "open")
 
 
-@dataclass
-class ObservabilityOptions:
-    """Telemetry knobs of the mediator.  Everything defaults off; with
-    ``enabled=False`` no telemetry object is even constructed and every
-    instrumentation site short-circuits on the shared null tracer."""
-
-    enabled: bool = False
-    #: Record span trees (attached to ``QueryResult.trace``).
-    trace: bool = True
-    #: Per-composition-operator spans during execution (the chattiest
-    #: layer; disable to trace only submits/waves/phases).
-    trace_compose: bool = True
-    #: Maintain the metrics registry.
-    metrics: bool = True
-    #: Track per-(scope, rule) estimate-vs-actual drift.
-    drift: bool = True
-    #: Build a :class:`~repro.obs.profile.QueryProfile` per answered
-    #: query (requires ``trace``; attached to ``QueryResult.profile``).
-    profile: bool = True
-
-    @classmethod
-    def all_on(cls) -> "ObservabilityOptions":
-        return cls(enabled=True)
-
-
 class QueryTelemetry:
     """The per-mediator telemetry state: tracer + registry + drift."""
 
-    def __init__(self, options: ObservabilityOptions, clock=None) -> None:
-        self.options = options
-        self.tracer: SpanTracer = (
-            SpanTracer(clock) if options.trace else NULL_TRACER
-        )
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry() if options.metrics else None
-        )
-        self.drift: DriftTracker | None = DriftTracker() if options.drift else None
+    def __init__(self, clock=None) -> None:
+        self.tracer = SpanTracer(clock)
+        self.metrics = MetricsRegistry()
+        self.drift = DriftTracker()
 
     # -- per-query feeding -----------------------------------------------------
 
@@ -91,20 +58,16 @@ class QueryTelemetry:
     ) -> None:
         """Fold one answered query into the registry and drift tracker,
         refresh breaker-state gauges, and attach the query's profile."""
-        if self.metrics is not None:
-            self._record_metrics(result, execution)
-            if breakers:
-                self._record_breaker_states(breakers)
-        if self.drift is not None:
-            self.drift.observe_plan(result.estimate, execution.submit_log)
-        if self.options.profile and result.trace is not None:
-            result.profile = build_query_profile(result, execution)
+        self._record_metrics(result, execution)
+        if breakers:
+            self._record_breaker_states(breakers)
+        self.drift.observe_plan(result.estimate, execution.submit_log)
+        result.profile = build_query_profile(result, execution)
 
     def _record_metrics(
         self, result: "QueryResult", execution: "ExecutionResult"
     ) -> None:
         metrics = self.metrics
-        assert metrics is not None
         metrics.counter("repro_queries_total", "Queries answered").inc()
         metrics.histogram(
             "repro_query_elapsed_ms", "Simulated query latency"
@@ -175,7 +138,6 @@ class QueryTelemetry:
         if res is None:
             return
         metrics = self.metrics
-        assert metrics is not None
         # inc(0) still materializes the series: the exposition shows
         # explicit zeros once the resilience layer is on.
         metrics.counter(
@@ -233,7 +195,6 @@ class QueryTelemetry:
         if rep is None:
             return
         metrics = self.metrics
-        assert metrics is not None
         per_wrapper = (
             (
                 "repro_replica_selected_total",
@@ -274,7 +235,6 @@ class QueryTelemetry:
         state, 0 for the other two — so dashboards can plot transitions
         without join gymnastics."""
         metrics = self.metrics
-        assert metrics is not None
         gauge = metrics.gauge(
             "repro_breaker_state",
             "Circuit-breaker state per wrapper (one-hot)",
@@ -299,7 +259,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "ObservabilityOptions",
     "OperatorRow",
     "QueryProfile",
     "QueryTelemetry",
@@ -308,7 +267,5 @@ __all__ = [
     "SpanTracer",
     "Summary",
     "build_query_profile",
-    "chrome_trace",
-    "chrome_trace_json",
     "q_error",
 ]

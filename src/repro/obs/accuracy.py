@@ -22,11 +22,10 @@ poison §4.3.1 history recording).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.algebra.logical import Submit
@@ -266,7 +265,7 @@ class DriftTracker:
         return render_drift_snapshot(self.snapshot())
 
     def snapshot(self) -> dict:
-        """JSON-ready export, grouped per (scope, rule, wrapper).
+        """Plain-dict form, grouped per (scope, rule, wrapper).
 
         Expected wrappers with no measured submits contribute explicit
         ``count=0`` rows — "no data" must never be confused with
@@ -314,14 +313,10 @@ class DriftTracker:
             "rules": rows,
         }
 
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
-
 
 def render_drift_snapshot(snapshot: dict) -> str:
     """The drift report table, built from a :meth:`DriftTracker.snapshot`
-    dict — live (``tracker.report()``) or loaded back from a saved JSON
-    by the ``python -m repro.obs drift`` CLI."""
+    dict (``tracker.report()``)."""
     headers = (
         "scope",
         "source",

@@ -19,14 +19,13 @@ metric's lock (the serving layer's scheduler also serializes tasks, so
 the locks are uncontended in the single-process simulation).
 :meth:`MetricsRegistry.expose_text` renders the standard text exposition
 format (``# HELP`` / ``# TYPE`` + samples); :meth:`MetricsRegistry.
-snapshot` returns the same data as plain dicts for JSON export and test
-assertions.  Everything is deterministic and process-local — there is no
-background collection thread; the mediator records after each query.
+snapshot` returns the same data as plain dicts.  Everything is
+deterministic and process-local — there is no background collection
+thread; the mediator records after each query.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from collections import deque
@@ -389,7 +388,7 @@ class MetricsRegistry:
         )
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict export (JSON-ready) of every metric's samples."""
+        """Plain-dict form of every metric's samples."""
         out: dict[str, Any] = {}
         for name, metric in self._sorted_metrics():
             out[name] = {
@@ -405,31 +404,3 @@ class MetricsRegistry:
                 ],
             }
         return out
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
-
-
-def exposition_from_snapshot(snapshot: Mapping[str, Any]) -> str:
-    """Render a saved :meth:`MetricsRegistry.snapshot` as text exposition.
-
-    The offline twin of :meth:`MetricsRegistry.expose_text`, for the
-    ``python -m repro.obs metrics`` CLI: a snapshot JSON recorded earlier
-    renders the same families and samples the live registry would have
-    (labels are emitted in sorted order, since JSON round-trips do not
-    preserve the registry's label declaration order).
-    """
-    blocks: list[str] = []
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        lines = [
-            f"# HELP {name} {family.get('help', '')}",
-            f"# TYPE {name} {family.get('type', 'untyped')}",
-        ]
-        for sample in family.get("samples", ()):
-            key = tuple(sorted(sample.get("labels", {}).items()))
-            value = sample["value"]
-            rendered = value if not math.isinf(value) else "+Inf"
-            lines.append(f"{sample['name']}{_render_labels(key)} {rendered}")
-        blocks.append("\n".join(lines))
-    return "\n".join(blocks)

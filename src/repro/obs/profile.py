@@ -26,16 +26,12 @@ sum holds for sequential, parallel-wave and scatter executions alike
 and the wave row carries the makespan).
 
 Profiles are built by :meth:`~repro.obs.QueryTelemetry.record_query`
-when ``ObservabilityOptions.profile`` is on and attached to
-``QueryResult.profile``; they export as JSON (:meth:`QueryProfile.
-to_dict`) and pretty text (:meth:`QueryProfile.render`), and round-trip
-through :meth:`QueryProfile.from_dict` for the ``python -m repro.obs``
-ops CLI.
+when observability is on, attached to ``QueryResult.profile``, and
+rendered as text by :meth:`QueryProfile.render`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -83,32 +79,6 @@ class OperatorRow:
     #: ``variable -> "scope[source]: rule"`` of the joined estimate.
     provenance: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "start_ms": self.start_ms,
-            "duration_ms": self.duration_ms,
-            "self_ms": self.self_ms,
-            "node_id": self.node_id,
-            "operator": self.operator,
-            "wrapper": self.wrapper,
-            "shard": self.shard,
-            "shard_of": self.shard_of,
-            "wave": self.wave,
-            "rows": self.rows,
-            "wrapper_ms": self.wrapper_ms,
-            "estimated_ms": self.estimated_ms,
-            "estimated_rows": self.estimated_rows,
-            "q_time": self.q_time,
-            "q_rows": self.q_rows,
-            "provenance": dict(self.provenance),
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "OperatorRow":
-        return cls(**record)
-
 
 @dataclass
 class QueryProfile:
@@ -153,48 +123,6 @@ class QueryProfile:
         if not candidates:
             return None
         return max(candidates, key=lambda b: b["max_q_error"])
-
-    # -- export ----------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sql": self.sql,
-            "elapsed_ms": self.elapsed_ms,
-            "estimated_ms": self.estimated_ms,
-            "attributed_ms": self.attributed_ms,
-            "q_total": self.q_total,
-            "operators": [row.to_dict() for row in self.operators],
-            "waves": [dict(w) for w in self.waves],
-            "shards": [dict(s) for s in self.shards],
-            "replication": [dict(r) for r in self.replication],
-            "blame": [dict(b) for b in self.blame],
-            "timeline": [dict(t) for t in self.timeline],
-            "unmatched_submits": self.unmatched_submits,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "QueryProfile":
-        return cls(
-            sql=record.get("sql"),
-            elapsed_ms=record["elapsed_ms"],
-            estimated_ms=record["estimated_ms"],
-            operators=[
-                OperatorRow.from_dict(row) for row in record.get("operators", ())
-            ],
-            waves=[dict(w) for w in record.get("waves", ())],
-            shards=[dict(s) for s in record.get("shards", ())],
-            replication=[dict(r) for r in record.get("replication", ())],
-            blame=[dict(b) for b in record.get("blame", ())],
-            timeline=[dict(t) for t in record.get("timeline", ())],
-            unmatched_submits=record.get("unmatched_submits", 0),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QueryProfile":
-        return cls.from_dict(json.loads(text))
 
     # -- pretty text -----------------------------------------------------------
 

@@ -15,18 +15,14 @@ Design constraints:
   reference that defaults to :data:`NULL_TRACER`; hot paths guard on
   ``tracer.enabled`` (a plain class attribute) and skip all span
   construction when it is False.
-* **Deterministic.**  No wall time, no randomness: span ids are assigned
-  at export time, timestamps come from the :class:`~repro.sources.clock.
-  SimClock`.
-* **Exportable.**  :meth:`SpanTracer.to_json_lines` flattens every
-  finished tree into JSON-lines records (one span per line, with parent
-  pointers); :meth:`Span.render` produces the indented tree that
+* **Deterministic.**  No wall time, no randomness: timestamps come from
+  the :class:`~repro.sources.clock.SimClock`.
+* **Readable.**  :meth:`Span.render` produces the indented tree that
   ``Mediator.explain`` appends when tracing is on.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol
@@ -74,18 +70,6 @@ class Span:
             if (kind is None or span.kind == kind)
             and (name is None or span.name == name)
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        """Nested dict form (children inline)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "duration_ms": self.duration_ms,
-            "attributes": dict(self.attributes),
-            "children": [child.to_dict() for child in self.children],
-        }
 
     def render(self, indent: int = 0) -> str:
         """Indented tree rendering (the `explain` attachment)."""
@@ -181,78 +165,9 @@ class SpanTracer:
             self.roots.append(span)
         return span
 
-    # -- export --------------------------------------------------------------
-
     def reset(self) -> None:
         """Drop all finished trees (open spans survive on the stack)."""
         self.roots = [span for span in self.roots if span.end_ms is None]
-
-    def to_json_lines(self) -> str:
-        """Flatten every root tree into JSON-lines (one span per line).
-
-        Each record carries ``id`` and ``parent`` (None for roots) so the
-        tree is reconstructable; ids are depth-first export ordinals.
-        """
-        lines: list[str] = []
-        counter = 0
-
-        def emit(span: Span, parent: int | None) -> None:
-            nonlocal counter
-            span_id = counter
-            counter += 1
-            lines.append(
-                json.dumps(
-                    {
-                        "id": span_id,
-                        "parent": parent,
-                        "name": span.name,
-                        "kind": span.kind,
-                        "start_ms": span.start_ms,
-                        "end_ms": span.end_ms,
-                        "duration_ms": span.duration_ms,
-                        "attributes": span.attributes,
-                    },
-                    default=str,
-                    sort_keys=True,
-                )
-            )
-            for child in span.children:
-                emit(child, span_id)
-
-        for root in self.roots:
-            emit(root, None)
-        return "\n".join(lines)
-
-
-def spans_from_json_lines(text: str) -> list[Span]:
-    """Rebuild span trees from a :meth:`SpanTracer.to_json_lines` export.
-
-    The inverse of the exporter: records reference their parent by
-    depth-first export ordinal, so children re-attach in input order and
-    the returned forest is structurally identical to the exported one
-    (names, kinds, timestamps, attributes, parent links).
-    """
-    by_id: dict[int, Span] = {}
-    roots: list[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        span = Span(
-            name=record["name"],
-            kind=record["kind"],
-            start_ms=record["start_ms"],
-            end_ms=record["end_ms"],
-            attributes=dict(record["attributes"]),
-        )
-        by_id[record["id"]] = span
-        parent = record["parent"]
-        if parent is None:
-            roots.append(span)
-        else:
-            by_id[parent].children.append(span)
-    return roots
 
 
 class _NullContext:
@@ -295,9 +210,6 @@ class NullTracer(SpanTracer):
 
     def event(self, name: str, kind: str = "event", **attributes: Any) -> Span:
         return NULL_SPAN
-
-    def to_json_lines(self) -> str:
-        return ""
 
 
 NULL_SPAN = _NullSpan(name="null", kind="null")

@@ -155,8 +155,3 @@ class PlanCache:
                 oldest = next(iter(self._sql))
                 del self._sql[oldest]
             self._sql[sql] = _SqlEntry(version=version, fingerprint=fingerprint)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self._sql.clear()

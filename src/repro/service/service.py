@@ -181,14 +181,9 @@ class FederationService:
         # serving counters always exist.
         telemetry = mediator.telemetry
         self.metrics: MetricsRegistry = (
-            telemetry.metrics
-            if telemetry is not None and telemetry.metrics is not None
-            else MetricsRegistry()
+            telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
         self._tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
-        self._trace_tasks = (
-            mediator.observability.enabled and mediator.observability.trace
-        )
         #: Online recalibration loop; None when the option is off.
         self.calibration: CalibrationManager | None = (
             CalibrationManager(mediator, self.options.calibration, self.metrics)
@@ -369,11 +364,9 @@ class FederationService:
             scheduler=self.scheduler.shared,
         )
         tracer = None
-        if self._trace_tasks:
+        if mediator.observability:
             tracer = SpanTracer(self.clock)
-            executor.set_tracer(
-                tracer, trace_compose=mediator.observability.trace_compose
-            )
+            executor.set_tracer(tracer)
         task = QueryTask(
             ticket=ticket,
             tenant=ticket.tenant,

@@ -203,7 +203,7 @@ class TestFigure13EndToEnd:
         from repro.core.estimator import CostEstimator
         from repro.core.estimator import SourceEnvironment
         from repro.core.generic import CoefficientSet, standard_repository
-        from repro.core.selectivity import index_scan_cost_yao
+        from tests.yao_oracle import index_scan_cost_yao
         from repro.core.statistics import StatisticsCatalog
         from repro.algebra.expressions import Comparison, attr, lit
         from repro.algebra.logical import Scan, Select

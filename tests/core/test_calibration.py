@@ -8,10 +8,10 @@ from repro.core.calibration import (
     fit_line,
     calibrate_wrapper,
 )
-from repro.core.selectivity import index_scan_cost_yao
 from repro.errors import CalibrationError
 from repro.oo7 import TINY, load_database
 from repro.wrappers import FlatFileWrapper, ObjectStoreWrapper
+from tests.yao_oracle import index_scan_cost_yao
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ pin the guarantee at the mediator surface.
 
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
-from repro.obs import ObservabilityOptions
 from tests.federation_fixtures import build_oo7_wrapper, build_sales_wrapper
 
 SQL = (
@@ -20,7 +19,7 @@ SQL = (
 )
 
 
-def build_mediator(cache: bool, observability=None):
+def build_mediator(cache: bool, observability=False):
     mediator = Mediator(
         record_history=True,
         executor_options=ExecutorOptions(cache_subanswers=cache),
@@ -76,7 +75,7 @@ class TestHistoryWithCache:
 
     def test_drift_tracker_follows_the_same_rule(self):
         mediator = build_mediator(
-            cache=True, observability=ObservabilityOptions.all_on()
+            cache=True, observability=True
         )
         mediator.query(SQL)
         drift = mediator.telemetry.drift

@@ -1,4 +1,4 @@
-"""Unit and property tests for repro.core.selectivity."""
+"""Unit and property tests for repro.core.selectivity and the Yao oracles."""
 
 import math
 
@@ -10,16 +10,18 @@ from repro.core.selectivity import (
     EquiDepthHistogram,
     EquiWidthHistogram,
     equality_selectivity,
-    index_scan_cost_linear,
-    index_scan_cost_yao,
     inequality_selectivity,
     join_selectivity,
     range_selectivity,
+)
+from repro.core.statistics import AttributeStats
+from tests.yao_oracle import (
+    index_scan_cost_linear,
+    index_scan_cost_yao,
     yao_exact,
     yao_fraction,
     yao_pages,
 )
-from repro.core.statistics import AttributeStats
 
 
 def attr(distinct=None, low=None, high=None, indexed=False):

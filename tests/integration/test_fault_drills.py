@@ -14,7 +14,6 @@ import pytest
 from repro.errors import TransientSourceError
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
-from repro.obs import ObservabilityOptions
 from repro.rt import RealTimeBackend
 from repro.service import FederationService, ServiceOptions
 from repro.wrappers.base import Wrapper
@@ -36,7 +35,7 @@ def backend(request):
         yield real
 
 
-def build_mediator(sales, backend=None, parallel=True, observability=None):
+def build_mediator(sales, backend=None, parallel=True, observability=False):
     mediator = Mediator(
         executor_options=ExecutorOptions(
             parallel_submits=parallel, backend=backend
@@ -101,7 +100,7 @@ def test_the_original_exception_object_is_reraised(backend, parallel):
         _Raising(build_sales_wrapper(), fault),
         backend,
         parallel=parallel,
-        observability=ObservabilityOptions.all_on(),
+        observability=True,
     )
     with pytest.raises(TransientSourceError) as raised:
         mediator.query(ORDERS)

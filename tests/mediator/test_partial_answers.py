@@ -16,7 +16,6 @@ from repro.mediator.resilience import (
     ResilienceOptions,
     RetryPolicy,
 )
-from repro.obs import ObservabilityOptions
 from repro.wrappers.faults import FaultInjector, FaultProfile
 from tests.federation_fixtures import build_oo7_wrapper, build_sales_wrapper
 
@@ -31,7 +30,7 @@ def partial_options(breaker=None, attempts=2):
     )
 
 
-def build_federation(resilience, oo7_profile=DEAD, observability=None):
+def build_federation(resilience, oo7_profile=DEAD, observability=False):
     """sales healthy, oo7 behind a fault injector (dead by default)."""
     mediator = Mediator(
         executor_options=ExecutorOptions(resilience=resilience),
@@ -199,7 +198,7 @@ class TestMetricsSnapshot:
         appear in the metrics snapshot."""
         mediator = build_federation(
             partial_options(breaker=BreakerPolicy(failure_threshold=2)),
-            observability=ObservabilityOptions.all_on(),
+            observability=True,
         )
         mediator.query("SELECT * FROM AtomicParts WHERE Id = 3")
         exposition = mediator.telemetry.metrics.expose_text()
@@ -214,7 +213,7 @@ class TestMetricsSnapshot:
         mediator = build_federation(
             partial_options(),
             oo7_profile=FaultProfile(),
-            observability=ObservabilityOptions.all_on(),
+            observability=True,
         )
         mediator.query("SELECT * FROM Orders WHERE qty = 7")
         exposition = mediator.telemetry.metrics.expose_text()

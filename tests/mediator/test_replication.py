@@ -20,7 +20,6 @@ from repro.mediator.resilience import (
     ResilienceOptions,
     RetryPolicy,
 )
-from repro.obs import ObservabilityOptions
 from repro.sources.relationaldb import RelationalDatabase
 from repro.wrappers import RelationalWrapper
 from repro.wrappers.faults import FaultInjector, FaultProfile
@@ -56,7 +55,7 @@ def build_replicated(
     resilience=None,
     primary_profile=None,
     replica_profile=None,
-    observability=None,
+    observability=False,
 ):
     """A sales wrapper with one replica, both behind fault injectors."""
     mediator = Mediator(
@@ -494,9 +493,6 @@ class TestReplicaStats:
 
 
 class TestReplicationTelemetry:
-    def observability(self):
-        return ObservabilityOptions(enabled=True, profile=True)
-
     def test_metrics_count_selection_failover_and_hedges(self):
         mediator, _, _ = build_replicated(
             resilience=ResilienceOptions(
@@ -505,7 +501,7 @@ class TestReplicationTelemetry:
                 mode="partial",
             ),
             primary_profile=FaultProfile(unavailable=True),
-            observability=self.observability(),
+            observability=True,
         )
         mediator.query("SELECT sid FROM Suppliers")
         rendered = mediator.telemetry.metrics.expose_text()
@@ -520,7 +516,7 @@ class TestReplicationTelemetry:
                 mode="partial",
             ),
             primary_profile=FaultProfile(unavailable=True),
-            observability=self.observability(),
+            observability=True,
         )
         result = mediator.query("SELECT sid FROM Suppliers")
         assert result.profile is not None
@@ -528,7 +524,7 @@ class TestReplicationTelemetry:
         assert rows["sales_b"]["failovers"] == 1
         rendered = result.trace.render()
         assert "failover.rescued" in rendered
-        assert result.profile.from_dict(result.profile.to_dict()).replication
+        assert result.profile.replication
 
     def test_hedge_metrics_render(self):
         mediator, _, _ = build_replicated(
@@ -540,7 +536,7 @@ class TestReplicationTelemetry:
             primary_profile=FaultProfile(
                 latency_multiplier=20.0, latency_probability=1.0
             ),
-            observability=self.observability(),
+            observability=True,
         )
         mediator.query("SELECT sid FROM Suppliers")
         rendered = mediator.telemetry.metrics.expose_text()

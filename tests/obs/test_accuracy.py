@@ -1,6 +1,5 @@
 """Drift tracker unit tests: provenance parsing, q-error, aggregation."""
 
-import json
 import math
 
 import pytest
@@ -126,7 +125,7 @@ class TestDriftTracker:
         tracker.observe_submit(estimate, plan, result(1000.0, 50))
         report = tracker.report()
         assert "collection" in report and "scan-rule" in report
-        snapshot = json.loads(tracker.snapshot_json())
+        snapshot = tracker.snapshot()
         assert snapshot["observations"] == 2
         rules = {r["variable"]: r for r in snapshot["rules"]}
         assert rules["TotalTime"]["mean_q_error"] == pytest.approx(10.0)
@@ -171,7 +170,7 @@ class TestWrapperAttribution:
         tracker.observe_submit(estimate, plan, result(800.0, 50))
         [row] = [
             r
-            for r in json.loads(tracker.snapshot_json())["rules"]
+            for r in tracker.snapshot()["rules"]
             if r["variable"] == "TotalTime"
         ]
         assert row["wrapper"] == "oo7"
@@ -192,7 +191,7 @@ class TestZeroSampleRows:
     def test_silent_expected_wrapper_gets_placeholder_rows(self):
         tracker = DriftTracker()
         tracker.expect_wrapper("ghost")
-        rows = json.loads(tracker.snapshot_json())["rules"]
+        rows = tracker.snapshot()["rules"]
         ghost = [r for r in rows if r["wrapper"] == "ghost"]
         assert ghost and all(r["count"] == 0 for r in ghost)
         assert {r["rule"] for r in ghost} == {"(no measured submits)"}
@@ -203,7 +202,7 @@ class TestZeroSampleRows:
         tracker.expect_wrapper("oo7")
         tracker.expect_wrapper("ghost")
         tracker.observe_submit(estimate, plan, result(200.0, 50))
-        rows = json.loads(tracker.snapshot_json())["rules"]
+        rows = tracker.snapshot()["rules"]
         oo7_rows = [r for r in rows if r["wrapper"] == "oo7"]
         assert oo7_rows and all(r["count"] > 0 for r in oo7_rows)
         assert any(r["wrapper"] == "ghost" and r["count"] == 0 for r in rows)
@@ -211,7 +210,7 @@ class TestZeroSampleRows:
     def test_renderer_shows_dashes_not_zero_qerrors(self):
         tracker = DriftTracker()
         tracker.expect_wrapper("ghost")
-        text = render_drift_snapshot(json.loads(tracker.snapshot_json()))
+        text = render_drift_snapshot(tracker.snapshot())
         assert "ghost" in text and "-" in text
         assert "(no measured submits)" in text
 
@@ -225,6 +224,6 @@ class TestZeroSampleRows:
         tracker = DriftTracker()
         tracker.expect_wrapper("ghost")
         fit = Calibrator(CalibrationPolicy(min_samples=1)).fit(
-            json.loads(tracker.snapshot_json()), CalibrationState()
+            tracker.snapshot(), CalibrationState()
         )
         assert not fit.updates and not fit.skipped

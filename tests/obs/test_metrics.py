@@ -1,6 +1,5 @@
 """Metrics registry unit tests: semantics, exposition, snapshots."""
 
-import json
 import math
 import threading
 
@@ -126,8 +125,8 @@ class TestExposition:
         assert "repro_query_elapsed_ms_sum 42.0" in text
         assert "repro_query_elapsed_ms_count 1.0" in text
 
-    def test_snapshot_json_round_trips(self):
-        snapshot = json.loads(self._registry().snapshot_json())
+    def test_snapshot_lists_samples_with_labels(self):
+        snapshot = self._registry().snapshot()
         assert snapshot["repro_submits_total"]["type"] == "counter"
         samples = snapshot["repro_submits_total"]["samples"]
         assert samples == [

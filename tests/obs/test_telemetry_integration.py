@@ -14,7 +14,6 @@ import pytest
 
 from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
-from repro.obs import ObservabilityOptions
 from tests.federation_fixtures import build_oo7_wrapper, build_sales_wrapper
 
 JOIN_SQL = (
@@ -24,7 +23,7 @@ JOIN_SQL = (
 )
 
 
-def build_mediator(observability=None, **executor_kw):
+def build_mediator(observability=False, **executor_kw):
     mediator = Mediator(
         executor_options=ExecutorOptions(**executor_kw) if executor_kw else None,
         observability=observability,
@@ -37,7 +36,7 @@ def build_mediator(observability=None, **executor_kw):
 @pytest.fixture
 def observed():
     return build_mediator(
-        observability=ObservabilityOptions.all_on(),
+        observability=True,
         parallel_submits=True,
         cache_subanswers=True,
     )
@@ -47,7 +46,7 @@ class TestDisabledByDefault:
     def test_no_telemetry_objects(self):
         mediator = build_mediator()
         assert mediator.telemetry is None
-        assert mediator.observability.enabled is False
+        assert mediator.observability is False
         result = mediator.query(JOIN_SQL)
         assert result.trace is None
 
@@ -62,7 +61,7 @@ class TestDisabledByDefault:
         plain = build_mediator(parallel_submits=True, cache_subanswers=True)
         result = plain.query(JOIN_SQL)
         observed = build_mediator(
-            observability=ObservabilityOptions.all_on(),
+            observability=True,
             parallel_submits=True,
             cache_subanswers=True,
         ).query(JOIN_SQL)
@@ -107,24 +106,6 @@ class TestSpanTree:
         assert second.cache_hits > 0
         hits = second.trace.find(kind="cache", name="cache.hit")
         assert len(hits) == second.cache_hits
-
-    def test_trace_compose_off_drops_only_compose_spans(self):
-        options = ObservabilityOptions(enabled=True, trace_compose=False)
-        mediator = build_mediator(observability=options, parallel_submits=True)
-        result = mediator.query(JOIN_SQL)
-        kinds = {span.kind for span in result.trace.walk()}
-        assert "compose" not in kinds
-        assert "submit" in kinds
-
-    def test_json_lines_export_reconstructs_the_tree(self, observed):
-        observed.query(JOIN_SQL)
-        lines = observed.telemetry.tracer.to_json_lines().splitlines()
-        records = [json.loads(line) for line in lines]
-        roots = [r for r in records if r["parent"] is None]
-        assert len(roots) == 1 and roots[0]["kind"] == "query"
-        ids = {r["id"] for r in records}
-        assert all(r["parent"] in ids for r in records if r["parent"] is not None)
-
 
 class TestMetricsCrossCheck:
     def test_counters_equal_query_result_diagnostics(self, observed):

@@ -1,6 +1,4 @@
-"""Span tracer unit tests: structure, timing, export, null tracer."""
-
-import json
+"""Span tracer unit tests: structure, timing, rendering, null tracer."""
 
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer
 from repro.sources.clock import CostProfile, SimClock
@@ -96,28 +94,11 @@ class TestExport:
                 tracer.clock.advance(10.0)
         return tracer
 
-    def test_json_lines_round_trip(self):
-        tracer = self._tree()
-        records = [json.loads(line) for line in tracer.to_json_lines().splitlines()]
-        assert len(records) == 2
-        by_id = {r["id"]: r for r in records}
-        root = next(r for r in records if r["parent"] is None)
-        child = next(r for r in records if r["parent"] is not None)
-        assert by_id[child["parent"]] is root
-        assert child["name"] == "execute"
-        assert child["duration_ms"] == 10.0
-
     def test_render_indents_children(self):
         text = self._tree().roots[0].render()
         lines = text.splitlines()
         assert lines[0].startswith("query [query]")
         assert lines[1].startswith("  execute [phase]")
-
-    def test_to_dict_nests_children(self):
-        doc = self._tree().roots[0].to_dict()
-        assert doc["name"] == "query"
-        assert doc["children"][0]["name"] == "execute"
-        assert doc["children"][0]["duration_ms"] == 10.0
 
     def test_reset_drops_finished_trees(self):
         tracer = self._tree()
@@ -140,7 +121,6 @@ class TestNullTracer:
         tracer.event("cache.hit")
         assert tracer.roots == []
         assert NULL_SPAN.attributes == {}
-        assert tracer.to_json_lines() == ""
 
     def test_null_span_swallows_set(self):
         NULL_SPAN.set(anything=1)

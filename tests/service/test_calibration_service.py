@@ -136,6 +136,26 @@ class TestOverlayLifecycle:
         assert fit.changed
         assert mediator.catalog.calibration.active.note == "operator forced"
 
+    def test_fit_without_drift_adds_no_overlay(self):
+        mediator, service = build_service(cadence=10**6)
+        manager = service.calibration
+        version = mediator.catalog.version
+        fit = manager.run_fit()  # empty window: nothing measured yet
+        assert not fit.changed
+        assert manager.overlays_applied == 0
+        assert mediator.catalog.version == version
+        assert len(mediator.catalog.calibration) == 1
+        run_queries(service, 3)
+        assert manager.run_fit().changed
+        assert manager.overlays_applied == 1
+        assert mediator.catalog.version == version + 1
+        assert mediator.catalog.calibration.active_version == 1
+        # The window was reset by the fit: a second fit changes nothing.
+        assert not manager.run_fit().changed
+        assert manager.overlays_applied == 1
+        assert mediator.catalog.version == version + 1
+        assert len(mediator.catalog.calibration) == 2
+
 
 class TestMetrics:
     def test_all_series_exported(self):

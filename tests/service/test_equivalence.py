@@ -19,7 +19,6 @@ from repro.mediator.resilience import (
     ResilienceOptions,
     RetryPolicy,
 )
-from repro.obs import ObservabilityOptions
 from repro.oo7 import TINY
 from repro.oo7.workload import build_workload
 from repro.service import FederationService, ServiceOptions
@@ -232,7 +231,7 @@ class TestPerQueryDispatchEvents:
                     mode="partial",
                 ),
             ),
-            observability=ObservabilityOptions(enabled=True),
+            observability=True,
         )
         mediator.register(
             FaultInjector(

@@ -50,6 +50,23 @@ class TestSessions:
         reopened = manager.open_session("alice", session_id="s1")
         assert reopened is not session
 
+    def test_service_close_frees_the_id_and_records_an_event(self):
+        mediator = Mediator(observability=True)
+        mediator.register(build_sales_wrapper())
+        service = FederationService(mediator)
+        session = service.open_session("alice", session_id="s1")
+        service.close_session(session)
+        assert session.closed
+        assert "s1" not in service.sessions.sessions
+        reopened = service.open_session("alice", session_id="s1")
+        assert reopened is not session and not reopened.closed
+        closes = [
+            (span.attributes["tenant"], span.attributes["session"])
+            for span in mediator.telemetry.tracer.roots
+            if span.name == "session.close"
+        ]
+        assert closes == [("alice", "s1")]
+
 
 class TestPreparedStatements:
     def test_prepare_parses_once_and_names(self, manager):

@@ -3,12 +3,12 @@ engine — including the physical Yao behaviour the §5 experiment rests on."""
 
 import pytest
 
-from repro.core.selectivity import yao_exact
 from repro.errors import StorageError
 from repro.sources.clock import CostProfile, SimClock
 from repro.sources.objectdb import OO7_DEVICE, ObjectDatabase
 from repro.sources.relationaldb import RelationalDatabase
 from repro.sources.storage_engine import StorageEngine
+from tests.yao_oracle import yao_exact
 
 
 def make_engine(n=700, indexed=("id",), placement="scattered"):
