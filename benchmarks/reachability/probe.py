@@ -4,8 +4,10 @@
     python benchmarks/reachability/probe.py > benchmarks/reachability/unreached.txt
 
 The drivers are the programs a reader runs: every experiment
-(``python -m repro.bench --fast``), every ``examples/*.py`` and every
-end-to-end workload (``benchmarks/e2e/run.py --smoke``).  Each runs with
+(``python -m repro.bench --fast --out-dir DIR``, which also writes the
+``BENCH_*.json`` files that CI diffs against ``benchmarks/expected``),
+every ``examples/*.py`` and every end-to-end workload
+(``benchmarks/e2e/run.py --smoke``).  Each runs with
 this directory on ``PYTHONPATH``, so ``sitecustomize.py`` records the
 code objects it calls.  An ``ast`` pass then prints the sorted
 ``path::qualname`` of every ``def`` whose code object no driver called.
@@ -26,14 +28,15 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 
 
-def drivers(e2e_out: str) -> list[list[str]]:
+def drivers(scratch: str) -> list[list[str]]:
     python = sys.executable
     examples = sorted((ROOT / "examples").glob("*.py"))
     return [
-        [python, "-m", "repro.bench", "--fast"],
+        [python, "-m", "repro.bench", "--fast",
+         "--out-dir", os.path.join(scratch, "bench")],
         *([python, str(path)] for path in examples),
         [python, str(ROOT / "benchmarks" / "e2e" / "run.py"), "--smoke",
-         "--out-dir", e2e_out],
+         "--out-dir", os.path.join(scratch, "e2e")],
     ]
 
 
@@ -47,7 +50,7 @@ def called_lines(scratch: str) -> set[tuple[str, int]]:
         REPRO_REACH_DIR=calls,
         PYTHONPATH=os.pathsep.join([str(HERE), str(ROOT / "src")]),
     )
-    for command in drivers(os.path.join(scratch, "e2e")):
+    for command in drivers(scratch):
         done = subprocess.run(
             command, cwd=ROOT, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
@@ -98,7 +101,7 @@ def main() -> int:
                 unreached.append(f"{rel}::{qualname}")
                 lines += last - first + 1
     print("# Functions under src/repro that no driver calls: python -m repro.bench"
-          " --fast, examples/*.py, benchmarks/e2e/run.py --smoke.")
+          " --fast --out-dir, examples/*.py, benchmarks/e2e/run.py --smoke.")
     print("# Regenerate: python benchmarks/reachability/probe.py"
           " > benchmarks/reachability/unreached.txt")
     for entry in sorted(unreached):

@@ -278,9 +278,7 @@ def _run_arm(
         result.overlays = service.calibration.overlays_applied
     state = mediator.catalog.calibration
     result.active_version = state.active_version
-    result.final_multiplier = state.multiplier_for(
-        SHIFT_WRAPPER, None, "TotalTime"
-    )
+    result.final_multiplier = state.multiplier_for(SHIFT_WRAPPER, "TotalTime")
     return result
 
 

@@ -13,9 +13,9 @@ more expensive replica of the same ``Orders`` collection):
   control degrades every affected query instead.
 
 * **hedging** — the primary suffers rare 10× latency spikes
-  (``latency_probability`` ≈ 8%).  A fixed-delay :class:`~repro.
-  mediator.resilience.HedgePolicy` sweep launches a backup submit at the
-  replica for straggling waits; first result wins, the loser's
+  (``latency_probability`` ≈ 8%).  A sweep over ``ResilienceOptions.
+  hedge_delay_ms`` launches a backup submit at the replica for
+  straggling waits; first result wins, the loser's
   unconsumed remainder is cancelled.  The report records, per delay, the
   p99 simulated TotalTime and the extra wrapper work (total wrapper
   executions versus the unhedged control) — the classic tail-vs-work
@@ -35,7 +35,6 @@ from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     PARTIAL,
     BreakerPolicy,
-    HedgePolicy,
     ResilienceOptions,
     RetryPolicy,
 )
@@ -49,7 +48,7 @@ from repro.wrappers.faults import FaultInjector, FaultProfile
 PRIMARY_IO_MS = 8.0
 REPLICA_IO_MS = 10.0
 
-#: The hedge-delay sweep (fixed mode, simulated ms).  Normal scan waits
+#: The hedge-delay sweep (simulated ms).  Normal scan waits
 #: sit near 270 ms and 10x spikes near 2,700 ms, so the grid brackets
 #: the useful band: too low hedges healthy scans (wasted work), too high
 #: leaves most of the spike unhedged.
@@ -83,22 +82,22 @@ def _store_wrapper(name: str, io_ms: float) -> StorageWrapper:
     return StorageWrapper(name, engine)
 
 
-def _resilience(hedge: HedgePolicy | None = None) -> ResilienceOptions:
+def _resilience(hedge_delay_ms: float | None = None) -> ResilienceOptions:
     return ResilienceOptions(
         retry=RetryPolicy(max_attempts=2, backoff_base_ms=25.0),
         breaker=BreakerPolicy(failure_threshold=2, cooldown_ms=1e9),
         mode=PARTIAL,
-        hedge=hedge,
+        hedge_delay_ms=hedge_delay_ms,
     )
 
 
 def _build(
     replicated: bool,
     primary_profile: FaultProfile,
-    hedge: HedgePolicy | None = None,
+    hedge_delay_ms: float | None = None,
 ) -> "tuple[Mediator, FaultInjector, FaultInjector | None]":
     mediator = Mediator(
-        executor_options=ExecutorOptions(resilience=_resilience(hedge))
+        executor_options=ExecutorOptions(resilience=_resilience(hedge_delay_ms))
     )
     primary = FaultInjector(_store_wrapper("store", PRIMARY_IO_MS), primary_profile)
     mediator.register(primary)
@@ -250,8 +249,7 @@ def _run_hedge_cell(delay_ms: float | None, rounds: int, seed: int) -> HedgeCell
         latency_probability=SPIKE_PROBABILITY,
         seed=seed,
     )
-    hedge = None if delay_ms is None else HedgePolicy(delay_ms=delay_ms)
-    mediator, primary, replica = _build(True, spikes, hedge=hedge)
+    mediator, primary, replica = _build(True, spikes, hedge_delay_ms=delay_ms)
     cell = HedgeCell(delay_ms=delay_ms)
     latencies: list[float] = []
     for _round in range(rounds):

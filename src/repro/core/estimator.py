@@ -545,9 +545,9 @@ class _Estimation:
         assert best is not None and best_value is not None
         best_provenance = best.scoped.label
         # Online calibration overlay: wrapper-owned predictions are
-        # multiplied by the active coefficient for (wrapper, scope,
-        # variable).  Mediator-side nodes (source None) are never
-        # calibrated — the drift tracker only measures wrapper work.
+        # multiplied by the active coefficient for (wrapper, variable).
+        # Mediator-side nodes (source None) are never calibrated — the
+        # drift tracker only measures wrapper work.
         calibration = self.estimator.calibration
         if (
             calibration is not None
@@ -555,9 +555,7 @@ class _Estimation:
             and isinstance(best_value, (int, float))
             and calibration.active.multipliers
         ):
-            multiplier = calibration.multiplier_for(
-                source, str(best.scope), variable
-            )
+            multiplier = calibration.multiplier_for(source, variable)
             if multiplier != 1.0:
                 best_value = float(best_value) * multiplier
                 best_provenance += (

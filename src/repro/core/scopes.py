@@ -130,10 +130,6 @@ class RuleMatch:
     def rule(self) -> CostRule:
         return self.scoped.rule
 
-    @property
-    def scope(self) -> Scope:
-        return self.scoped.scope
-
 
 def providing(matches: Iterable[RuleMatch], variable: str) -> list[RuleMatch]:
     """From a node's matches (most specific first), those to use for one

@@ -12,12 +12,12 @@ re-registration, no restart.
 Design points, in the order they matter:
 
 * **Keys.** A coefficient is addressed by
-  :class:`CoefficientKey(wrapper, scope, variable) <CoefficientKey>`.
+  :class:`CoefficientKey(wrapper, variable) <CoefficientKey>`.
   ``wrapper`` is the *owning source of the plan node* (who actually ran
   the work), not the source of the rule that priced it — a generic
   default-scope rule (``__mediator__``) prices every wrapper, yet each
-  wrapper drifts independently.  ``scope=None`` is a wildcard matching
-  any rule scope at that wrapper; lookups try the exact scope first.
+  wrapper drifts independently.  One coefficient covers every rule scope
+  at that wrapper: the fitter pools a wrapper's scopes.
 
 * **Fit math (log space).** The drift tracker folds
   ``log(actual / estimate)`` per observation.  The geometric-mean ratio
@@ -50,25 +50,17 @@ from dataclasses import dataclass, field
 
 from repro.core.scopes import MEDIATOR_SOURCE
 
-#: Wildcard marker for ``scope=None`` keys in :meth:`CoefficientKey.as_string`.
-_WILDCARD = "*"
-
 
 @dataclass(frozen=True)
 class CoefficientKey:
-    """Address of one calibrated coefficient.
-
-    ``scope=None`` is a wildcard: the multiplier applies to every rule
-    scope at that wrapper (for that variable) unless a more specific
-    exact-scope key exists in the same overlay.
-    """
+    """Address of one calibrated coefficient: the multiplier applies to
+    every rule scope at that wrapper, for that variable."""
 
     wrapper: str
-    scope: str | None
     variable: str
 
     def as_string(self) -> str:
-        return f"{self.wrapper}|{self.scope or _WILDCARD}|{self.variable}"
+        return f"{self.wrapper}|{self.variable}"
 
 
 @dataclass(frozen=True)
@@ -88,9 +80,6 @@ class CalibrationPolicy:
     #: Relative change below which a proposal is dropped as a no-op
     #: (avoids churning catalog versions on noise).
     min_change: float = 1e-3
-    #: Fit one coefficient per (wrapper, scope) instead of pooling all
-    #: scopes of a wrapper into one wildcard coefficient.
-    per_scope: bool = False
     #: Variables the fitter is allowed to touch.
     variables: tuple[str, ...] = ("TotalTime", "CountObject")
 
@@ -148,16 +137,9 @@ class CalibrationOverlay:
     #: Observations behind the fit that produced this version.
     fitted_observations: int = 0
 
-    def multiplier_for(
-        self, wrapper: str, scope: str | None, variable: str
-    ) -> float:
-        """Exact-scope match first, wildcard second, identity last."""
-        if scope is not None:
-            exact = self.multipliers.get(CoefficientKey(wrapper, scope, variable))
-            if exact is not None:
-                return exact
-        wildcard = self.multipliers.get(CoefficientKey(wrapper, None, variable))
-        return wildcard if wildcard is not None else 1.0
+    def multiplier_for(self, wrapper: str, variable: str) -> float:
+        """The fitted multiplier, identity when none was fitted."""
+        return self.multipliers.get(CoefficientKey(wrapper, variable), 1.0)
 
     @property
     def is_identity(self) -> bool:
@@ -187,10 +169,8 @@ class CalibrationState:
     def latest_version(self) -> int:
         return len(self.versions) - 1
 
-    def multiplier_for(
-        self, wrapper: str, scope: str | None, variable: str
-    ) -> float:
-        return self.active.multiplier_for(wrapper, scope, variable)
+    def multiplier_for(self, wrapper: str, variable: str) -> float:
+        return self.active.multiplier_for(wrapper, variable)
 
     @property
     def is_identity(self) -> bool:
@@ -281,17 +261,10 @@ class Calibrator:
             count = int(row.get("count", 0))
             if count <= 0:
                 continue
-            log_ratio = row.get("sum_log_ratio")
-            if log_ratio is None:
-                geo = row.get("geo_mean_ratio")
-                if geo is None or geo <= 0.0:
-                    continue
-                log_ratio = count * math.log(geo)
-            scope = row.get("scope") if policy.per_scope else None
-            key = CoefficientKey(wrapper, scope, variable)
+            key = CoefficientKey(wrapper, variable)
             pool = pools.setdefault(key, _Pool())
             pool.samples += count
-            pool.sum_log_ratio += float(log_ratio)
+            pool.sum_log_ratio += float(row["sum_log_ratio"])
             pool.sum_q += float(row.get("mean_q_error", 0.0)) * count
             considered_q += float(row.get("mean_q_error", 0.0)) * count
             considered_n += count
@@ -305,7 +278,7 @@ class Calibrator:
                     f"below min_samples ({pool.samples} < {policy.min_samples})"
                 )
                 continue
-            previous = state.multiplier_for(key.wrapper, key.scope, key.variable)
+            previous = state.multiplier_for(key.wrapper, key.variable)
             measured = math.exp(pool.sum_log_ratio / pool.samples)
             proposed = self.propose(previous, measured)
             if previous > 0 and abs(proposed / previous - 1.0) < policy.min_change:

@@ -9,7 +9,7 @@ The optimizer enumerates, System-R style over a :class:`QuerySpec`:
 * **access plans** per collection — filters pushed into the wrapper when
   its capabilities allow, applied mediator-side otherwise;
 * **join orders** — dynamic programming over collection subsets (bushy),
-  falling back to a greedy chain beyond ``max_exhaustive_collections``;
+  falling back to a greedy chain beyond ``MAX_EXHAUSTIVE_COLLECTIONS``;
 * **join placement** — cross-wrapper joins run at the mediator; a subset
   served by a single join-capable wrapper may instead be pushed down as
   one subquery (one Submit);
@@ -61,29 +61,26 @@ from repro.mediator.queryspec import QuerySpec, UnionSpec
 from repro.obs.trace import NULL_TRACER, SpanTracer
 
 
+#: Queries over more collections than this are ordered by the greedy
+#: chain instead of the exhaustive dynamic program.
+MAX_EXHAUSTIVE_COLLECTIONS = 7
+
+
 @dataclass
 class OptimizerOptions:
-    """Knobs for the enumeration (ablation points of DESIGN.md).
-
-    ``objective`` selects which §2.3 time form the optimizer minimizes:
-    ``"total_time"`` (throughput, the default) or ``"time_first"``
-    (first-tuple response time — interactive clients).  Branch-and-bound
-    pruning only applies to the total-time objective, since partial
-    TotalTime sums do not bound TimeFirst.
-    """
+    """The enumeration's ablation points (DESIGN.md).  The optimizer
+    always minimises estimated TotalTime, pushes filters into every
+    wrapper that supports selection, and costs the pushed-down subquery
+    of every single-wrapper subset."""
 
     use_pruning: bool = True
-    push_joins_to_wrappers: bool = True
-    push_filters: bool = True
     #: Consider dependent (bind) joins: probe an indexed inner collection
     #: with the outer side's join keys instead of shipping it whole.
     use_bind_join: bool = True
-    max_exhaustive_collections: int = 7
-    objective: str = "total_time"
 
-    def __post_init__(self) -> None:
-        if self.objective not in ("total_time", "time_first"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+
+#: The estimate variables every candidate is costed on.
+_COSTED_VARIABLES = ("TotalTime", "CountObject", "TotalSize")
 
 
 @dataclass
@@ -280,10 +277,9 @@ class Optimizer:
         plan = result.plan
         if rebound:
             plan = self._replace_submits(plan, rebound)
-            variables: tuple[str, ...] = ("TotalTime", "CountObject", "TotalSize")
-            if self.options.objective == "time_first":
-                variables = ("TimeFirst",) + variables
-            estimate = self.estimator.estimate(plan, variables=variables, memo=memo)
+            estimate = self.estimator.estimate(
+                plan, variables=_COSTED_VARIABLES, memo=memo
+            )
         self._tag_replica_provenance(plan, estimate)
         if not rebound:
             return result
@@ -400,34 +396,25 @@ class Optimizer:
     ) -> _Candidate | None:
         stats = costing.stats
         stats.candidates_considered += 1
-        first_tuple = self.options.objective == "time_first"
-        bound_ms = bound if self.options.use_pruning and not first_tuple else None
-        variables = ("TotalTime", "CountObject", "TotalSize")
-        if first_tuple:
-            variables = ("TimeFirst",) + variables
+        bound_ms = bound if self.options.use_pruning else None
         estimate = self.estimator.estimate(
-            plan, bound_ms=bound_ms, variables=variables, memo=costing.memo
+            plan, bound_ms=bound_ms, variables=_COSTED_VARIABLES, memo=costing.memo
         )
         stats.variables_computed += self.estimator.last_counters.variables_computed
         stats.formulas_evaluated += self.estimator.last_counters.formulas_evaluated
         if estimate.pruned:
             stats.candidates_pruned += 1
             return None
-        cost_value = (
-            float(estimate.root.values["TimeFirst"])
-            if first_tuple
-            else estimate.total_time
-        )
-        return _Candidate(plan=plan, estimate=estimate, cost=cost_value)
+        return _Candidate(plan=plan, estimate=estimate, cost=estimate.total_time)
 
     # -- access plans ------------------------------------------------------------------
 
     def _access_plan(self, spec: QuerySpec, collection: str) -> PlanNode:
         """Scan + filters for one collection, submitted to its wrapper.
 
-        Filters go inside the Submit when the wrapper supports selection
-        (and ``push_filters`` is on), above it otherwise.  Partitioned
-        collections fan out to their shards instead.
+        Filters go inside the Submit when the wrapper supports selection,
+        above it otherwise.  Partitioned collections fan out to their
+        shards instead.
         """
         if self.catalog.is_partitioned(collection):
             return self._scatter_access_plan(spec, collection)
@@ -436,7 +423,7 @@ class Optimizer:
         inner: PlanNode = Scan(collection)
         outer_filters: list[Predicate] = []
         if filters:
-            if self.options.push_filters and "select" in wrapper.capabilities:
+            if "select" in wrapper.capabilities:
                 inner = Select(inner, conjunction(list(filters)))
             else:
                 outer_filters = list(filters)
@@ -467,7 +454,7 @@ class Optimizer:
             wrapper = self.catalog.wrapper(shard.wrapper)
             inner: PlanNode = Scan(shard.collection)
             if filters:
-                if self.options.push_filters and "select" in wrapper.capabilities:
+                if "select" in wrapper.capabilities:
                     inner = Select(inner, conjunction(filters))
                 else:
                     needs_outer = True
@@ -578,7 +565,7 @@ class Optimizer:
             candidate = self._cost(plan, costing, None)
             assert candidate is not None
             return candidate
-        if len(collections) <= self.options.max_exhaustive_collections:
+        if len(collections) <= MAX_EXHAUSTIVE_COLLECTIONS:
             return self._dynamic_programming(spec, costing)
         return self._greedy_chain(spec, costing)
 
@@ -596,10 +583,8 @@ class Optimizer:
         for size in range(2, len(collections) + 1):
             for subset in itertools.combinations(collections, size):
                 key = frozenset(subset)
-                current: _Candidate | None = None
                 # Pushed-down whole-subset subquery at a single wrapper.
-                if self.options.push_joins_to_wrappers:
-                    current = self._pushed_candidate(spec, list(subset), costing, current)
+                current = self._pushed_candidate(spec, list(subset), costing)
                 # Mediator joins over every split with a connecting predicate.
                 for left_size in range(1, size):
                     for left_subset in itertools.combinations(subset, left_size):
@@ -643,28 +628,20 @@ class Optimizer:
         return best[full]
 
     def _pushed_candidate(
-        self,
-        spec: QuerySpec,
-        subset: list[str],
-        costing: _Costing,
-        current: _Candidate | None,
+        self, spec: QuerySpec, subset: list[str], costing: _Costing
     ) -> _Candidate | None:
+        """The whole subset as one subquery at its single join-capable
+        wrapper, or None when no such wrapper serves it."""
         wrappers = {self._single_wrapper_for(c) for c in subset}
         if len(wrappers) != 1 or None in wrappers:
-            return current
+            return None
         wrapper = self.catalog.wrapper(next(iter(wrappers)))
         if "join" not in wrapper.capabilities:
-            return current
+            return None
         inner = self._wrapper_side_join_tree(spec, subset)
         if inner is None:
-            return current
-        bound = current.cost if current is not None else None
-        candidate = self._cost(Submit(inner, wrapper.name), costing, bound)
-        if candidate is not None and (
-            current is None or candidate.cost < current.cost
-        ):
-            return candidate
-        return current
+            return None
+        return self._cost(Submit(inner, wrapper.name), costing, None)
 
     def _bind_join_plan(
         self,

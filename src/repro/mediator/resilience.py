@@ -211,59 +211,6 @@ class CircuitBreaker:
         )
 
 
-@dataclass
-class HedgePolicy:
-    """Opt-in hedged submits against replicated sources.
-
-    When a submit's wrapper wait exceeds the hedge delay and the wrapper
-    has a healthy replica, the scheduler launches one backup submit at
-    the next-cheapest replica; the first result wins and the loser is
-    cancelled — its unconsumed wait is never charged to the mediator
-    clock (the work happened on a parallel timeline).
-
-    ``mode="fixed"`` hedges after ``delay_ms``.  ``mode="percentile"``
-    hedges after the ``percentile``-th latency of the wrapper's recent
-    submits (a per-wrapper history window the scheduler maintains),
-    falling back to ``delay_ms`` until ``min_samples`` observations have
-    accumulated.
-    """
-
-    delay_ms: float = 500.0
-    mode: str = "fixed"
-    #: Latency percentile (0..100) used in ``percentile`` mode.
-    percentile: float = 95.0
-    #: Observations needed before the percentile estimate is trusted.
-    min_samples: int = 8
-    #: History window size per wrapper.
-    window: int = 128
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "percentile"):
-            raise ValueError(
-                f"hedge mode must be 'fixed' or 'percentile', got {self.mode!r}"
-            )
-        if self.delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValueError(
-                f"percentile must be in (0, 100], got {self.percentile}"
-            )
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.window < self.min_samples:
-            raise ValueError("window must be >= min_samples")
-
-    def threshold_ms(self, history: "list[float]") -> float:
-        """The hedge trigger given a wrapper's recent latencies."""
-        if self.mode == "fixed" or len(history) < self.min_samples:
-            return self.delay_ms
-        ordered = sorted(history)
-        rank = max(
-            0, min(len(ordered) - 1, int(len(ordered) * self.percentile / 100.0))
-        )
-        return ordered[rank]
-
-
 #: Failure modes of the executor when a submit exhausts its retries.
 STRICT = "strict"
 PARTIAL = "partial"
@@ -288,14 +235,23 @@ class ResilienceOptions:
     mode: str = STRICT
     #: Seed of the scheduler's jitter RNG.
     seed: int = 0
-    #: ``None`` disables hedged submits; only effective when the catalog
-    #: has replica sets (hedging needs a second source to race).
-    hedge: HedgePolicy | None = None
+    #: Hedged submits: a successful wrapper wait longer than this many
+    #: ms launches one backup submit at the cheapest healthy replica; the
+    #: first result wins and the loser is cancelled — its unconsumed wait
+    #: is never charged to the mediator clock (the work happened on a
+    #: parallel timeline).  ``None`` disables hedging; only effective
+    #: when the catalog has replica sets (hedging needs a second source
+    #: to race).
+    hedge_delay_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in (STRICT, PARTIAL):
             raise ValueError(
                 f"mode must be {STRICT!r} or {PARTIAL!r}, got {self.mode!r}"
+            )
+        if self.hedge_delay_ms is not None and self.hedge_delay_ms < 0:
+            raise ValueError(
+                f"hedge_delay_ms must be >= 0, got {self.hedge_delay_ms}"
             )
 
 
@@ -528,7 +484,6 @@ __all__ = [
     "CircuitBreaker",
     "CLOSED",
     "HALF_OPEN",
-    "HedgePolicy",
     "OPEN",
     "PARTIAL",
     "PartialAnswer",

@@ -40,12 +40,12 @@ sequence is decided once, at construction, from the
   join record where the rows actually came from; the attempt chain lands
   in the span tree and in :attr:`SubmitFailure.replicas_tried` when
   every member fails;
-* **hedged submits**, with an opt-in :class:`~repro.mediator.resilience.
-  HedgePolicy` on a backend that models overlapping timelines — a
-  wrapper wait that overruns the hedge threshold launches one backup
-  submit at the cheapest healthy replica; the first result wins and only
-  the winner's duration is charged (the loser's remainder is recorded as
-  cancelled hedge work, not mediator time).
+* **hedged submits**, with an opt-in ``ResilienceOptions.hedge_delay_ms``
+  on a backend that models overlapping timelines — a wrapper wait that
+  overruns the hedge delay launches one backup submit at the cheapest
+  healthy replica; the first result wins and only the winner's duration
+  is charged (the loser's remainder is recorded as cancelled hedge work,
+  not mediator time).
 
 **The fault contract.**  A wrapper fault never escapes a dispatch call:
 it becomes a *failed* :class:`DispatchOutcome` that carries the
@@ -71,7 +71,6 @@ many queries share the scheduler.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count
@@ -86,7 +85,6 @@ from repro.mediator.resilience import (
     CLOSED,
     OPEN,
     CircuitBreaker,
-    HedgePolicy,
     ReplicaStats,
     ResilienceOptions,
     ResilienceStats,
@@ -217,8 +215,10 @@ class SubmitScheduler:
         self._replica_step = resilience is not None
         # Hedging charges the winner of two modelled timelines; on a
         # wall clock the primary wait is spent before its length is known.
-        self._hedge: HedgePolicy | None = (
-            None if resilience is None or self.backend.real_time else resilience.hedge
+        self._hedge_delay_ms: float | None = (
+            None
+            if resilience is None or self.backend.real_time
+            else resilience.hedge_delay_ms
         )
         #: Per-wrapper circuit breakers, created lazily on first dispatch.
         self.breakers: dict[str, CircuitBreaker] = {}
@@ -232,9 +232,6 @@ class SubmitScheduler:
         self.replica_ranker: (
             Callable[[Submit, tuple[str, ...]], Sequence[str]] | None
         ) = None
-        #: Recent successful wrapper latencies per hedged wrapper (drives
-        #: the percentile trigger).
-        self._latency_history: dict[str, deque[float]] = {}
         #: Numbers the submits that may retry; part of the per-submit
         #: jitter seed so same-wave retries against one wrapper don't
         #: thunder-herd on identical backoff schedules.  ``next`` on a
@@ -332,7 +329,9 @@ class SubmitScheduler:
             and self.catalog.has_replicas()
             and len(self.catalog.replica_members(submit.wrapper)) > 1
         )
-        outcome = self._attempt(submit, charges, self._hedge if replicated else None)
+        outcome = self._attempt(
+            submit, charges, self._hedge_delay_ms if replicated else None
+        )
         if replicated:
             outcome = self._fail_over(submit, outcome, charges)
         response_bytes = (
@@ -419,7 +418,7 @@ class SubmitScheduler:
         )
 
     def _attempt(
-        self, submit: Submit, charges, hedge: HedgePolicy | None
+        self, submit: Submit, charges, hedge_delay_ms: float | None
     ) -> DispatchOutcome:
         """Run one submit against its wrapper under the installed retry
         policy, behind the wrapper's breaker when there is one.
@@ -463,11 +462,13 @@ class SubmitScheduler:
             if attempt.error is None and not overran:
                 result = attempt.result
                 assert result is not None
-                if hedge is None:
+                if hedge_delay_ms is None:
                     charges.wrapper_wait(wait)
                     outcome = DispatchOutcome(submit=submit, result=result)
                 else:
-                    outcome = self._hedged(submit, result, wait, charges, hedge)
+                    outcome = self._hedged(
+                        submit, result, wait, charges, hedge_delay_ms
+                    )
                 if breaker is not None:
                     breaker.record_success()  # a hedged primary did answer, late
                 if attempts > 1 or outcome.submit is not submit:
@@ -579,21 +580,16 @@ class SubmitScheduler:
         result: ExecutionResult,
         wait: float,
         charges,
-        policy: HedgePolicy,
+        delay_ms: float,
     ) -> DispatchOutcome:
         """Race a straggling (but successful) primary wait against one
         backup replica.  Charges the *winner's* duration — the primary
         wait itself when no hedge fires — and returns the outcome of the
         serving submit, carrying the hedge's events."""
         name = submit.wrapper
-        history = self._latency_history.get(name)
-        if history is None:
-            history = self._latency_history[name] = deque(maxlen=policy.window)
-        threshold = policy.threshold_ms(list(history))
-        history.append(wait)
         candidates = (
             self._replica_candidates(submit, exclude=(name,))
-            if wait > threshold
+            if wait > delay_ms
             else ()
         )
         if not candidates:
@@ -609,18 +605,18 @@ class SubmitScheduler:
                 kind="hedge",
                 wrapper=name,
                 backup=backup_name,
-                threshold_ms=threshold,
+                delay_ms=delay_ms,
                 primary_ms=wait,
             )
         backup_breaker = self._breaker(backup_name)
         backup = self.backend.measured_execute(
             self.catalog.wrapper(backup_name), submit.child
         )
-        if backup.result is not None and threshold + backup.duration_ms < wait:
-            # Backup wins: the mediator waited threshold (for the hedge
+        if backup.result is not None and delay_ms + backup.duration_ms < wait:
+            # Backup wins: the mediator waited the delay (for the hedge
             # to fire) plus the backup's service time; the primary's
             # still-outstanding remainder is cancelled, never charged.
-            winner_ms = threshold + backup.duration_ms
+            winner_ms = delay_ms + backup.duration_ms
             charges.wrapper_wait(winner_ms)
             events.hedges_won[backup_name] = 1
             events.hedge_cancelled_ms = wait - winner_ms
@@ -687,7 +683,9 @@ class SubmitScheduler:
                     to=candidate,
                     reason=first_failure.reason,
                 )
-            alt = self._attempt(self._rebound(submit, candidate), charges, self._hedge)
+            alt = self._attempt(
+                self._rebound(submit, candidate), charges, self._hedge_delay_ms
+            )
             tried.append(candidate)
             total_attempts += alt.attempts
             events.add(alt.resilience)

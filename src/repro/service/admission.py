@@ -10,7 +10,7 @@ Decisions, in the order they are checked:
 * **reject: degraded** — every wrapper the chosen plan touches has an
   open circuit breaker; the query can only fail (or, with partial
   answers on, return nothing), so it is bounced immediately instead of
-  occupying a slot (``fast_reject_on_open_breakers``);
+  occupying a slot;
 * **reject: estimate_exceeds_budget** — the estimate alone is larger
   than the tenant's (or the service's) *total* outstanding-work budget,
   so the query could never be admitted no matter how long it queued;
@@ -112,11 +112,9 @@ class AdmissionController:
         *,
         max_concurrent_queries: int | None = None,
         max_outstanding_ms: float | None = None,
-        fast_reject_on_open_breakers: bool = True,
     ) -> None:
         self.max_concurrent_queries = max_concurrent_queries
         self.max_outstanding_ms = max_outstanding_ms
-        self.fast_reject_on_open_breakers = fast_reject_on_open_breakers
         self.global_usage = _Usage()
         self._tenant_usage: dict[str, _Usage] = {}
 
@@ -159,11 +157,7 @@ class AdmissionController:
     def _degraded_reason(
         self, plan: PlanNode | None, scheduler: "SubmitScheduler | None"
     ) -> str | None:
-        if (
-            not self.fast_reject_on_open_breakers
-            or plan is None
-            or scheduler is None
-        ):
+        if plan is None or scheduler is None:
             return None
         open_wrappers = set(scheduler.open_breaker_wrappers())
         if not open_wrappers:

@@ -17,12 +17,9 @@ The fit window **resets after every fit attempt** (applied or not): the
 cadence defines the measurement window, so a misbehaving source shows
 up with its recent drift, not diluted by hours of healthy history.
 
-Per-tenant tracking (``per_tenant=True``) keeps an additional drift
-window per tenant and exports its q-error per fit
-(``repro_calibration_tenant_qerror{tenant=...}``) — a noisy-neighbour
-diagnostic.  The *applied* coefficients are always fit from the global
-window: plans are shared across tenants through the plan cache, so a
-per-tenant coefficient set would be unsound without per-tenant plans.
+The window is global across tenants: plans are shared through the plan
+cache, so a per-tenant coefficient set would be unsound without
+per-tenant plans.
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ class CalibrationOptions:
     cadence_queries: int = 32
     #: Guardrails handed to the fitter.
     policy: CalibrationPolicy = field(default_factory=CalibrationPolicy)
-    #: Track (and export) drift per tenant in addition to globally.
-    per_tenant: bool = False
 
     def __post_init__(self) -> None:
         if self.cadence_queries < 1:
@@ -73,7 +68,6 @@ class CalibrationManager:
         self.metrics = metrics
         self.calibrator = Calibrator(options.policy)
         self.window = self._fresh_window()
-        self._tenant_windows: dict[str, DriftTracker] = {}
         #: Queries folded into the current window.
         self.window_queries = 0
         self.fits_attempted = 0
@@ -83,10 +77,7 @@ class CalibrationManager:
     # -- feeding ---------------------------------------------------------------
 
     def record(
-        self,
-        tenant: str,
-        result: "QueryResult",
-        execution: "ExecutionResult",
+        self, result: "QueryResult", execution: "ExecutionResult"
     ) -> CalibrationFit | None:
         """Fold one finalized query in; fit when the cadence is due.
 
@@ -94,13 +85,6 @@ class CalibrationManager:
         """
         submit_log = self._clean_submit_log(execution)
         self.window.observe_plan(result.estimate, submit_log)
-        if self.options.per_tenant:
-            window = self._tenant_windows.get(tenant)
-            if window is None:
-                window = self._tenant_windows.setdefault(
-                    tenant, self._fresh_window()
-                )
-            window.observe_plan(result.estimate, submit_log)
         self.window_queries += 1
         if self.window_queries >= self.options.cadence_queries:
             return self.run_fit()
@@ -141,7 +125,8 @@ class CalibrationManager:
             self.overlays_applied += 1
         self._export_metrics(fit)
         self.last_fit = fit
-        self._reset_windows()
+        self.window = self._fresh_window()
+        self.window_queries = 0
         return fit
 
     # -- internals -------------------------------------------------------------
@@ -151,14 +136,6 @@ class CalibrationManager:
         for name in self.mediator.catalog.wrapper_names():
             window.expect_wrapper(name)
         return window
-
-    def _reset_windows(self) -> None:
-        self.window = self._fresh_window()
-        self.window_queries = 0
-        if self.options.per_tenant:
-            self._tenant_windows = {
-                tenant: self._fresh_window() for tenant in self._tenant_windows
-            }
 
     def _export_metrics(self, fit: CalibrationFit) -> None:
         updates = self.metrics.counter(
@@ -179,22 +156,6 @@ class CalibrationManager:
             "repro_calibration_active_version",
             "Active calibration overlay version",
         ).set(float(self.mediator.catalog.calibration.active_version))
-        if self.options.per_tenant:
-            tenant_gauge = self.metrics.gauge(
-                "repro_calibration_tenant_qerror",
-                "Per-tenant mean q-error over the last fit window",
-                ("tenant",),
-            )
-            for tenant, window in sorted(self._tenant_windows.items()):
-                snapshot = window.snapshot()
-                rows = [r for r in snapshot["rules"] if r["count"]]
-                total = sum(r["count"] for r in rows)
-                mean_q = (
-                    sum(r["mean_q_error"] * r["count"] for r in rows) / total
-                    if total
-                    else 0.0
-                )
-                tenant_gauge.set(mean_q, tenant=tenant)
 
 
 __all__ = ["CalibrationManager", "CalibrationOptions"]

@@ -160,17 +160,11 @@ class FairShareScheduler:
         shared: SubmitScheduler,
         admission: AdmissionController,
         *,
-        wrapper_wave_cap: int | None = None,
         on_start: Callable[[QueryTask], None] | None = None,
         on_complete: Callable[[QueryTask], None] | None = None,
     ) -> None:
-        if wrapper_wave_cap is not None and wrapper_wave_cap < 1:
-            raise ValueError(
-                f"wrapper_wave_cap must be >= 1, got {wrapper_wave_cap}"
-            )
         self.shared = shared
         self.admission = admission
-        self.wrapper_wave_cap = wrapper_wave_cap
         self.on_start = on_start
         self.on_complete = on_complete
         self.stats = SchedulerStats()
@@ -327,9 +321,7 @@ class FairShareScheduler:
 
         Submits are interleaved across tasks in tenant round-robin order
         (one submit per task per turn), so no single chatty query can
-        monopolize the front of a wave; a per-wrapper cap splits the
-        round into successive waves when one wrapper would be asked for
-        too many concurrent subqueries.
+        monopolize the front of a wave; the round goes out as one wave.
         """
         order = [
             task
@@ -343,32 +335,13 @@ class FairShareScheduler:
             *([(task, index) for index in range(len(task.outcomes))] for task in order)
         )
         interleaved = [pair for turn in turns for pair in turn if pair is not None]
-        for chunk in self._chunk_by_wrapper_cap(interleaved):
-            submits = [task.request[index] for task, index in chunk]  # type: ignore[index]
-            outcomes = self.shared.dispatch_wave(submits)
-            self.stats.waves_dispatched += 1
-            self.stats.submits_dispatched += len(submits)
-            if len({id(task) for task, _ in chunk}) > 1:
-                self.stats.cross_query_waves += 1
-            for (task, index), outcome in zip(chunk, outcomes):
-                task.outcomes[index] = outcome
-
-    def _chunk_by_wrapper_cap(
-        self, interleaved: "list[tuple[QueryTask, int]]"
-    ) -> "list[list[tuple[QueryTask, int]]]":
-        cap = self.wrapper_wave_cap
-        if cap is None:
-            return [interleaved] if interleaved else []
-        chunks: list[list[tuple[QueryTask, int]]] = []
-        current: list[tuple[QueryTask, int]] = []
-        counts: dict[str, int] = {}
-        for task, index in interleaved:
-            wrapper = task.request[index].wrapper  # type: ignore[index]
-            if counts.get(wrapper, 0) >= cap:
-                chunks.append(current)
-                current, counts = [], {}
-            current.append((task, index))
-            counts[wrapper] = counts.get(wrapper, 0) + 1
-        if current:
-            chunks.append(current)
-        return chunks
+        if not interleaved:
+            return
+        submits = [task.request[index] for task, index in interleaved]  # type: ignore[index]
+        outcomes = self.shared.dispatch_wave(submits)
+        self.stats.waves_dispatched += 1
+        self.stats.submits_dispatched += len(submits)
+        if len({id(task) for task, _ in interleaved}) > 1:
+            self.stats.cross_query_waves += 1
+        for (task, index), outcome in zip(interleaved, outcomes):
+            task.outcomes[index] = outcome

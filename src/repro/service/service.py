@@ -82,10 +82,6 @@ class ServiceOptions:
     #: Memoize optimized plans by normalized-query fingerprint.
     plan_cache: bool = True
     plan_cache_entries: int = 256
-    #: Max submits per wrapper in one cross-query combined wave.
-    wrapper_wave_cap: int | None = None
-    #: Reject queries whose plans only touch open-breaker wrappers.
-    fast_reject_on_open_breakers: bool = True
     #: Online cost recalibration on a query-count cadence (§4.3 feedback
     #: loop; see ``docs/calibration.md``).  None = off, the seed path.
     calibration: CalibrationOptions | None = None
@@ -161,14 +157,10 @@ class FederationService:
         self.admission = AdmissionController(
             max_concurrent_queries=self.options.max_concurrent_queries,
             max_outstanding_ms=self.options.max_outstanding_ms,
-            fast_reject_on_open_breakers=(
-                self.options.fast_reject_on_open_breakers
-            ),
         )
         self.scheduler = FairShareScheduler(
             mediator.executor.scheduler,
             self.admission,
-            wrapper_wave_cap=self.options.wrapper_wave_cap,
             on_start=self._on_task_start,
             on_complete=self._on_task_complete,
         )
@@ -448,7 +440,7 @@ class FederationService:
             # Feed the measured query into the calibration window; on
             # cadence this fits and (via the catalog-version bump)
             # invalidates stale plan-cache entries.
-            self.calibration.record(task.tenant, result, execution)
+            self.calibration.record(result, execution)
         return result
 
     def _count(self, name: str, tenant: str) -> None:

@@ -1,7 +1,5 @@
 """Tests for compiling CDL documents into cost-model objects."""
 
-import math
-
 import pytest
 
 from repro.algebra.builders import scan

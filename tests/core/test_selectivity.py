@@ -1,7 +1,5 @@
 """Unit and property tests for repro.core.selectivity and the Yao oracles."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -3,8 +3,7 @@
 Covers the pieces in isolation: coefficient keys and their string
 form, policy validation, the guardrailed fit math, overlay state
 apply/rollback, and the estimator actually consuming the active
-overlay (with provenance tags, mediator-side exclusion, and exact-scope
-precedence).
+overlay (with provenance tags and mediator-side exclusion).
 """
 
 import math
@@ -24,7 +23,7 @@ from repro.mediator.mediator import Mediator
 from repro.wrappers.base import Wrapper
 from tests.federation_fixtures import build_sales_wrapper
 
-K_TT = CoefficientKey("sales", None, "TotalTime")
+K_TT = CoefficientKey("sales", "TotalTime")
 
 
 def drift_row(
@@ -55,10 +54,8 @@ def snapshot(*rows):
 
 
 class TestCoefficientKey:
-    def test_wildcard_scope_serializes_as_star(self):
-        assert CoefficientKey("w", None, "TotalTime").as_string() == (
-            "w|*|TotalTime"
-        )
+    def test_serializes_wrapper_and_variable(self):
+        assert CoefficientKey("w", "TotalTime").as_string() == "w|TotalTime"
 
 
 class TestPolicyValidation:
@@ -106,28 +103,13 @@ class TestFitMath:
         assert update.samples == 6
         assert update.measured_ratio == pytest.approx(4.0)
 
-    def test_per_scope_policy_fits_separate_keys(self):
-        fit = Calibrator(
-            CalibrationPolicy(min_samples=1, per_scope=True)
-        ).fit(
-            snapshot(
-                drift_row(count=3, ratio=3.0, scope="wrapper"),
-                drift_row(count=3, ratio=3.0, scope="default"),
-            ),
-            CalibrationState(),
-        )
-        assert sorted(u.key.scope for u in fit.updates) == [
-            "default",
-            "wrapper",
-        ]
-
     def test_below_min_samples_is_skipped_not_fitted(self):
         fit = Calibrator(CalibrationPolicy(min_samples=11)).fit(
             snapshot(drift_row(count=10)), CalibrationState()
         )
         assert not fit.updates
         assert fit.skipped == {
-            "sales|*|TotalTime": "below min_samples (10 < 11)"
+            "sales|TotalTime": "below min_samples (10 < 11)"
         }
 
     def test_mediator_side_rows_never_calibrated(self):
@@ -154,7 +136,7 @@ class TestFitMath:
             snapshot(drift_row(ratio=1.0001)), CalibrationState()
         )
         assert not fit.updates
-        assert "no-op" in fit.skipped["sales|*|TotalTime"]
+        assert "no-op" in fit.skipped["sales|TotalTime"]
 
     def test_fit_measures_residual_under_active_multiplier(self):
         # With m=4 active and a residual window ratio of 1/2, the
@@ -167,15 +149,6 @@ class TestFitMath:
         [update] = fit.updates
         assert update.previous == pytest.approx(4.0)
         assert update.proposed == pytest.approx(4.0 * 0.5**0.5)
-
-    def test_geo_mean_fallback_when_sum_log_ratio_missing(self):
-        row = drift_row(count=4, ratio=9.0)
-        del row["sum_log_ratio"]
-        fit = Calibrator(CalibrationPolicy(min_samples=1)).fit(
-            snapshot(row), CalibrationState()
-        )
-        [update] = fit.updates
-        assert update.measured_ratio == pytest.approx(9.0)
 
     def test_window_mean_q_weighted_by_count(self):
         fit = Calibrator(CalibrationPolicy(min_samples=1)).fit(
@@ -192,16 +165,16 @@ class TestStateVersioning:
         state = CalibrationState()
         assert state.active_version == 0
         assert state.is_identity
-        assert state.multiplier_for("anything", "wrapper", "TotalTime") == 1.0
+        assert state.multiplier_for("anything", "TotalTime") == 1.0
 
     def test_apply_merges_onto_active(self):
         state = CalibrationState()
         state.apply({K_TT: 2.0})
-        other = CoefficientKey("oo7", None, "TotalTime")
+        other = CoefficientKey("oo7", "TotalTime")
         state.apply({other: 0.5})
         assert state.active_version == 2
-        assert state.multiplier_for("sales", None, "TotalTime") == 2.0
-        assert state.multiplier_for("oo7", None, "TotalTime") == 0.5
+        assert state.multiplier_for("sales", "TotalTime") == 2.0
+        assert state.multiplier_for("oo7", "TotalTime") == 0.5
 
     def test_rollback_restores_exact_coefficients_and_preserves_history(self):
         state = CalibrationState()
@@ -214,7 +187,7 @@ class TestStateVersioning:
         assert len(state) == 3  # nothing was deleted
         # Roll forward again: the newer overlay is still there.
         state.rollback(2)
-        assert state.multiplier_for("sales", None, "TotalTime") == 3.0
+        assert state.multiplier_for("sales", "TotalTime") == 3.0
 
     def test_rollback_to_unknown_version_rejected(self):
         state = CalibrationState()
@@ -223,18 +196,13 @@ class TestStateVersioning:
         with pytest.raises(ValueError):
             state.rollback(-1)
 
-    def test_exact_scope_beats_wildcard(self):
+    def test_unfitted_key_is_identity(self):
         overlay = CalibrationOverlay(
-            version=1,
-            multipliers={
-                CoefficientKey("w", None, "TotalTime"): 2.0,
-                CoefficientKey("w", "collection", "TotalTime"): 5.0,
-            },
+            version=1, multipliers={CoefficientKey("w", "TotalTime"): 2.0}
         )
-        assert overlay.multiplier_for("w", "collection", "TotalTime") == 5.0
-        assert overlay.multiplier_for("w", "wrapper", "TotalTime") == 2.0
-        assert overlay.multiplier_for("w", None, "TotalTime") == 2.0
-        assert overlay.multiplier_for("other", "collection", "TotalTime") == 1.0
+        assert overlay.multiplier_for("w", "TotalTime") == 2.0
+        assert overlay.multiplier_for("w", "CountObject") == 1.0
+        assert overlay.multiplier_for("other", "TotalTime") == 1.0
 
 
 class TestEstimatorApplication:
@@ -290,7 +258,7 @@ class TestEstimatorApplication:
         mediator = self.build()
         baseline = mediator.explain(self.SQL)
         mediator.apply_calibration(
-            {CoefficientKey("not-registered", None, "TotalTime"): 7.0}
+            {CoefficientKey("not-registered", "TotalTime"): 7.0}
         )
         assert mediator.explain(self.SQL) == baseline
 
@@ -356,9 +324,7 @@ class TestFaultTaintedExclusion:
 
         planned = mediator.plan(self.SQL)
         execution = mediator.executor.execute(planned.plan)
-        manager.record(
-            "t0", SimpleNamespace(estimate=planned.estimate), execution
-        )
+        manager.record(SimpleNamespace(estimate=planned.estimate), execution)
         return execution
 
     def window_count(self, manager):

@@ -120,7 +120,7 @@ def test_full_fit_respects_guardrails_end_to_end(ratio, count, policy):
     }
     fit = Calibrator(policy).fit(snapshot, state)
     for update in fit.updates:
-        assert update.key == CoefficientKey("w", None, "TotalTime")
+        assert update.key == CoefficientKey("w", "TotalTime")
         assert policy.clamp_min <= update.proposed <= policy.clamp_max
         assert update.proposed <= update.previous * policy.max_step * (1 + 1e-9)
         assert update.proposed >= update.previous / policy.max_step / (1 + 1e-9)

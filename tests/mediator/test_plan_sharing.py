@@ -230,7 +230,7 @@ class TestNothingToInvalidate:
     def test_calibration_overlay_prices_the_next_plan_and_rolls_back(self):
         mediator = build_federation()
         seed = mediator.plan(self.SQL).estimated_total_ms
-        mediator.apply_calibration({CoefficientKey("east", None, "TotalTime"): 3.0})
+        mediator.apply_calibration({CoefficientKey("east", "TotalTime"): 3.0})
         calibrated = mediator.plan(self.SQL)
         assert calibrated.estimated_total_ms > seed
         assert "calibrated x3" in calibrated.estimate.explain()

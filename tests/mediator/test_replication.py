@@ -15,7 +15,6 @@ from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     BreakerPolicy,
-    HedgePolicy,
     ReplicaStats,
     ResilienceOptions,
     RetryPolicy,
@@ -155,7 +154,7 @@ class TestCostBasedSelection:
         mediator, _, _ = build_replicated()
         # Calibration makes the replica's predictions half the primary's.
         mediator.apply_calibration(
-            {CoefficientKey("sales_b", None, "TotalTime"): 0.5}
+            {CoefficientKey("sales_b", "TotalTime"): 0.5}
         )
         result = mediator.plan("SELECT sid FROM Suppliers WHERE sid < 5")
         submits = bound_submits(result)
@@ -166,7 +165,7 @@ class TestCostBasedSelection:
     def test_health_view_excludes_open_breaker_members(self):
         mediator, _, _ = build_replicated()
         mediator.apply_calibration(
-            {CoefficientKey("sales_b", None, "TotalTime"): 0.5}
+            {CoefficientKey("sales_b", "TotalTime"): 0.5}
         )
         mediator.optimizer.health_view = lambda: ["sales_b"]
         result = mediator.plan("SELECT sid FROM Suppliers WHERE sid < 5")
@@ -190,7 +189,7 @@ class TestCostBasedSelection:
     def test_rank_replicas_orders_cheapest_first(self):
         mediator, _, _ = build_replicated()
         mediator.apply_calibration(
-            {CoefficientKey("sales_b", None, "TotalTime"): 0.5}
+            {CoefficientKey("sales_b", "TotalTime"): 0.5}
         )
         submit = suppliers_plan()
         assert isinstance(submit, Submit)
@@ -202,7 +201,7 @@ class TestCostBasedSelection:
     def test_executed_answer_matches_unreplicated_answer(self):
         mediator, _, _ = build_replicated()
         mediator.apply_calibration(
-            {CoefficientKey("sales_b", None, "TotalTime"): 0.5}
+            {CoefficientKey("sales_b", "TotalTime"): 0.5}
         )
         plain = Mediator()
         plain.register(sales_wrapper("sales"))
@@ -223,12 +222,11 @@ class TestCloneplan:
 
 
 class TestFailover:
-    def breaker_resilience(self, mode="strict", hedge=None):
+    def breaker_resilience(self, mode="strict"):
         return ResilienceOptions(
             retry=NO_BACKOFF,
             breaker=BreakerPolicy(failure_threshold=2, cooldown_ms=1e9),
             mode=mode,
-            hedge=hedge,
         )
 
     def test_dead_primary_fails_over_to_replica(self):
@@ -362,11 +360,9 @@ class TestFailover:
 
 
 class TestHedgedSubmits:
-    def hedge_resilience(self, delay_ms=50.0, **kwargs):
+    def hedge_resilience(self, delay_ms=50.0):
         return ResilienceOptions(
-            retry=NO_BACKOFF,
-            breaker=None,
-            hedge=HedgePolicy(delay_ms=delay_ms, **kwargs),
+            retry=NO_BACKOFF, breaker=None, hedge_delay_ms=delay_ms
         )
 
     def straggler(self):
@@ -433,7 +429,7 @@ class TestHedgedSubmits:
             resilience=ResilienceOptions(
                 retry=NO_BACKOFF,
                 breaker=BreakerPolicy(failure_threshold=1, cooldown_ms=1e9),
-                hedge=HedgePolicy(delay_ms=50.0),
+                hedge_delay_ms=50.0,
             ),
             primary_profile=self.straggler(),
             replica_profile=FaultProfile(unavailable=True),
@@ -453,33 +449,10 @@ class TestHedgedSubmits:
         assert replica.log.executions == executions_before
         assert scheduler.replica_stats.hedges_launched == {}
 
-    def test_percentile_mode_learns_the_trigger(self):
-        policy = HedgePolicy(
-            mode="percentile",
-            delay_ms=1e9,
-            percentile=90.0,
-            min_samples=4,
-            window=16,
-        )
-        # Below min_samples: the fixed fallback.
-        assert policy.threshold_ms([10.0, 20.0]) == 1e9
-        history = [10.0, 20.0, 30.0, 40.0, 1_000.0]
-        assert policy.threshold_ms(history) == 1_000.0
-        assert HedgePolicy(
-            mode="percentile", percentile=50.0, min_samples=4
-        ).threshold_ms(history) == 30.0
-
-    def test_hedge_policy_validation(self):
+    def test_negative_hedge_delay_rejected(self):
         with pytest.raises(ValueError):
-            HedgePolicy(mode="adaptive")
-        with pytest.raises(ValueError):
-            HedgePolicy(delay_ms=-1.0)
-        with pytest.raises(ValueError):
-            HedgePolicy(percentile=0.0)
-        with pytest.raises(ValueError):
-            HedgePolicy(min_samples=0)
-        with pytest.raises(ValueError):
-            HedgePolicy(min_samples=10, window=5)
+            ResilienceOptions(hedge_delay_ms=-1.0)
+        assert ResilienceOptions(hedge_delay_ms=0.0).hedge_delay_ms == 0.0
 
 
 class TestReplicaStats:
@@ -531,7 +504,7 @@ class TestReplicationTelemetry:
             resilience=ResilienceOptions(
                 retry=NO_BACKOFF,
                 breaker=None,
-                hedge=HedgePolicy(delay_ms=50.0),
+                hedge_delay_ms=50.0,
             ),
             primary_profile=FaultProfile(
                 latency_multiplier=20.0, latency_probability=1.0

@@ -31,7 +31,6 @@ from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     BreakerPolicy,
-    HedgePolicy,
     ResilienceOptions,
     RetryPolicy,
 )
@@ -60,7 +59,7 @@ HEDGED = ResilienceOptions(
     retry=ARMED.retry,
     breaker=ARMED.breaker,
     mode="partial",
-    hedge=HedgePolicy(delay_ms=0.001),
+    hedge_delay_ms=0.001,
 )
 
 #: Every access shape the executor dispatches: single-wrapper scans and

@@ -18,7 +18,6 @@ from repro.mediator.catalog import MediatorCatalog
 from repro.mediator.executor import ExecutorOptions, MediatorExecutor
 from repro.mediator.resilience import (
     PARTIAL,
-    HedgePolicy,
     ResilienceOptions,
     RetryPolicy,
 )
@@ -148,7 +147,7 @@ class TestHedgingStaysSimulationOnly:
     def test_a_hair_trigger_hedge_never_fires_on_the_wall(self):
         primary = _Stub("w", lambda call: (time.sleep(0.005), _rows())[1])
         backup = _Stub("w2", lambda call: _rows())
-        options = ResilienceOptions(hedge=HedgePolicy(delay_ms=0.001))
+        options = ResilienceOptions(hedge_delay_ms=0.001)
         catalog = _catalog(primary, backup, replica_of=("w", "w2"))
         with RealTimeBackend() as backend:
             scheduler = SubmitScheduler(catalog, resilience=options, backend=backend)
@@ -163,7 +162,7 @@ class TestHedgingStaysSimulationOnly:
             "w", lambda call: ExecutionResult(rows=[{"Id": 0}], total_time_ms=50.0)
         )
         backup = _Stub("w2", lambda call: _rows())
-        options = ResilienceOptions(hedge=HedgePolicy(delay_ms=0.001))
+        options = ResilienceOptions(hedge_delay_ms=0.001)
         catalog = _catalog(primary, backup, replica_of=("w", "w2"))
         scheduler = SubmitScheduler(catalog, resilience=options)
         outcome = scheduler.dispatch_one(_submit())

@@ -151,21 +151,3 @@ class TestServiceBackpressure:
             service.submit(session, SQL)
         reject = service.tickets[-1]
         assert reject.rejection_reason.startswith("degraded")
-
-    def test_fast_reject_can_be_disabled(self):
-        resilience = ResilienceOptions(
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=1, cooldown_ms=1e9),
-            mode="partial",
-        )
-        service = build_service(
-            ServiceOptions(fast_reject_on_open_breakers=False),
-            resilience=resilience,
-            fault_profile=FaultProfile(error_probability=1.0, seed=3),
-        )
-        session = service.open_session("t")
-        service.query(session, SQL)  # partial mode: degraded empty answer
-        assert service.mediator.executor.scheduler.open_breaker_wrappers()
-        ticket = service.submit(session, SQL)
-        service.run()
-        assert ticket.status == "done"  # admitted despite the open breaker

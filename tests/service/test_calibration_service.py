@@ -24,7 +24,6 @@ SQL = "SELECT * FROM Orders WHERE qty > 70"
 def build_service(
     cadence=4,
     min_samples=1,
-    per_tenant=False,
     latency_multiplier=5.0,
     **policy_kwargs,
 ):
@@ -43,7 +42,6 @@ def build_service(
         calibration=CalibrationOptions(
             cadence_queries=cadence,
             policy=CalibrationPolicy(min_samples=min_samples, **policy_kwargs),
-            per_tenant=per_tenant,
         )
     )
     return mediator, FederationService(mediator, options)
@@ -107,7 +105,7 @@ class TestOverlayLifecycle:
         # multiplier below identity — but the ×5-slower arm must land
         # strictly higher than the unfaulted one.
         multiplier = mediator.catalog.calibration.multiplier_for(
-            "sales", None, "TotalTime"
+            "sales", "TotalTime"
         )
         assert multiplier != 1.0
         control_mediator, control = build_service(
@@ -116,7 +114,7 @@ class TestOverlayLifecycle:
         run_queries(control, 4)
         control_multiplier = (
             control_mediator.catalog.calibration.multiplier_for(
-                "sales", None, "TotalTime"
+                "sales", "TotalTime"
             )
         )
         assert multiplier > control_multiplier
@@ -159,27 +157,22 @@ class TestOverlayLifecycle:
 
 class TestMetrics:
     def test_all_series_exported(self):
-        _, service = build_service(cadence=4, per_tenant=True)
+        _, service = build_service(cadence=4)
         run_queries(service, 4, tenant="acme")
         text = service.metrics.expose_text()
         assert "repro_calibration_fits_total 1" in text
         assert 'repro_calibration_updates_total{wrapper="sales"}' in text
         assert "repro_calibration_qerror " in text
         assert "repro_calibration_active_version 1" in text
-        assert 'repro_calibration_tenant_qerror{tenant="acme"}' in text
 
-    def test_per_tenant_windows_are_diagnostic_only(self):
-        mediator, service = build_service(cadence=4, per_tenant=True)
+    def test_tenants_share_one_window(self):
+        _, service = build_service(cadence=4)
         run_queries(service, 2, tenant="a")
         run_queries(service, 2, tenant="b")
-        manager = service.calibration
-        assert manager.fits_attempted == 1
-        # Applied coefficients come from the single global window; the
-        # tenant windows only feed the gauge.
-        assert set(manager._tenant_windows) == {"a", "b"}
-        text = service.metrics.expose_text()
-        assert 'repro_calibration_tenant_qerror{tenant="a"}' in text
-        assert 'repro_calibration_tenant_qerror{tenant="b"}' in text
+        # Plans are shared across tenants, so one global window counts
+        # every tenant's queries toward the cadence.
+        assert service.calibration.fits_attempted == 1
+        assert service.calibration.window_queries == 0
 
 
 class TestConvergence:

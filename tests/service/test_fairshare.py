@@ -132,24 +132,6 @@ class TestWavePacking:
             assert ticket.status == "done"
             assert ticket.result.rows == expected
 
-    def test_wrapper_wave_cap_splits_waves(self):
-        uncapped = self.build_parallel_service(max_concurrent_queries=4)
-        capped = self.build_parallel_service(
-            max_concurrent_queries=4, wrapper_wave_cap=1
-        )
-        for service in (uncapped, capped):
-            for tenant in ("a", "b"):
-                service.submit(service.open_session(tenant), UNION)
-            service.run()
-        assert (
-            capped.scheduler.stats.waves_dispatched
-            > uncapped.scheduler.stats.waves_dispatched
-        )
-        # Capping changes the wave shape, never the answers.
-        assert [t.result.rows for t in capped.tickets] == [
-            t.result.rows for t in uncapped.tickets
-        ]
-
     def test_single_task_rounds_never_count_cross_query(self):
         service = self.build_parallel_service(max_concurrent_queries=1)
         for tenant in ("a", "b"):

@@ -90,7 +90,7 @@ class TestDanglingSqlEntries:
         assert cache.lookup("f2", V) == plan("two")
 
 
-KEY = CoefficientKey("sales", None, "TotalTime")
+KEY = CoefficientKey("sales", "TotalTime")
 SQL = "SELECT * FROM Orders WHERE qty > 70"
 
 
@@ -116,7 +116,7 @@ class TestCalibrationVersioning:
         mediator.apply_calibration({KEY: 2.0}, note="v1")
         mediator.apply_calibration({KEY: 3.0}, note="v2")
         mediator.apply_calibration(
-            {CoefficientKey("sales", None, "CountObject"): 0.5}, note="v3"
+            {CoefficientKey("sales", "CountObject"): 0.5}, note="v3"
         )
         version_before = mediator.catalog.version
         snapshot_v2 = dict(state.versions[2].multipliers)

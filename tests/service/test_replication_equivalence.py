@@ -18,7 +18,6 @@ from repro.mediator.executor import ExecutorOptions
 from repro.mediator.mediator import Mediator
 from repro.mediator.resilience import (
     BreakerPolicy,
-    HedgePolicy,
     ReplicaStats,
     ResilienceOptions,
     RetryPolicy,
@@ -47,7 +46,7 @@ HEDGED = ResilienceOptions(
     retry=ARMED.retry,
     breaker=ARMED.breaker,
     mode="partial",
-    hedge=HedgePolicy(delay_ms=0.001),
+    hedge_delay_ms=0.001,
 )
 
 
