@@ -6,9 +6,11 @@ off.  Two adaptation mechanisms then kick in:
 
 1. **query-scope recording** — after a subquery runs once, its next
    estimate is the measured cost, exactly;
-2. **parameter adjustment** — an :class:`OnlineCalibrator` folds every
-   (estimate, measurement) pair into one per-source factor, improving
-   estimates for queries that were *never* executed before.
+2. **parameter adjustment** — the drift tracker joins every estimate
+   with its measurement, and the service's :class:`Calibrator` fits the
+   drift into a calibration overlay (one multiplier per source and
+   variable), improving estimates for queries that were *never*
+   executed before.
 
 Run:  python examples/adaptive_mediator.py
 """
@@ -16,13 +18,14 @@ Run:  python examples/adaptive_mediator.py
 import random
 
 from repro import Mediator, ObjectStoreWrapper
+from repro.bench.history_bench import E5_POLICY
 from repro.core.generic import GenericCoefficients
-from repro.core.history import OnlineCalibrator
+from repro.mediator.calibration import Calibrator
 from repro.oo7 import TINY, load_database
 
 
 def build() -> Mediator:
-    mediator = Mediator(record_history=True)
+    mediator = Mediator(record_history=True, observability=True)
     # Deliberately mis-calibrated generic model (4x too optimistic).
     mediator.coefficients.default = GenericCoefficients().scaled(0.25)
     mediator.register(
@@ -37,7 +40,6 @@ def relative_error(estimated: float, actual: float) -> float:
 
 def main() -> None:
     mediator = build()
-    calibrator = OnlineCalibrator()
     rng = random.Random(17)
 
     print("phase 1 — the same subquery, repeated:")
@@ -52,19 +54,22 @@ def main() -> None:
         )
     print("  -> after one execution the query-scope rule makes it exact.\n")
 
-    print("phase 2 — ten different range queries, observed by the calibrator:")
+    print("phase 2 — ten different range queries, measured by the drift tracker:")
     for _ in range(10):
         constant = rng.randrange(50, 200)
-        sql = f"SELECT * FROM AtomicParts WHERE Id <= {constant}"
-        estimated = mediator.plan(sql).estimated_total_ms
-        actual = mediator.query(sql).elapsed_ms
-        calibrator.observe("oo7", estimated, actual)
-    print(f"  learned adjustment factor for 'oo7': {calibrator.factor('oo7'):.2f}")
+        mediator.query(f"SELECT * FROM AtomicParts WHERE Id <= {constant}")
+    drift = mediator.telemetry.drift
+    print(drift.report())
+    worst = drift.worst()
+    print(f"  worst TotalTime rule: {worst.rule} (mean q-error {worst.mean_q:.2f})")
+    fit = Calibrator(E5_POLICY).fit(drift.snapshot(), mediator.catalog.calibration)
+    for update in fit.updates:
+        print(f"  fitted {update.key.as_string()}: x{update.proposed:.2f}")
 
-    print("\nphase 3 — a brand-new query, before vs after applying the factor:")
+    print("\nphase 3 — a brand-new query, before vs after applying the fit:")
     sql = "SELECT * FROM AtomicParts WHERE Id <= 123"
     before = mediator.plan(sql).estimated_total_ms
-    calibrator.apply(mediator.coefficients)
+    mediator.apply_calibration(fit.updates)
     after = mediator.plan(sql).estimated_total_ms
     actual = mediator.query(sql).elapsed_ms
     print(f"  measured:           {actual:9.1f} ms")

@@ -70,7 +70,7 @@ def build_mediator() -> Mediator:
     # Calibrate both sources: without fitted coefficients the generic
     # model underprices the 80 ms/object image scan by an order of
     # magnitude and the classic/bind comparison is meaningless.
-    from repro.core.calibration import calibrate_wrapper
+    from repro.mediator.probe_fit import calibrate_wrapper
 
     for name in ("media", "meta"):
         wrapper = mediator.catalog.wrapper(name)

@@ -22,7 +22,7 @@ from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.logical import Scan, Select
 from repro.bench.harness import ErrorSummary, format_table
 from repro.bench.fig12 import build_estimator
-from repro.core.calibration import calibrate_wrapper
+from repro.mediator.probe_fit import calibrate_wrapper
 from repro.sources.objectdb import ObjectDatabase
 from repro.wrappers.objectstore import ObjectStoreWrapper
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.calibration import calibrate_wrapper
 from repro.errors import CalibrationError
 from repro.mediator.mediator import Mediator
+from repro.mediator.probe_fit import calibrate_wrapper
 from repro.oo7 import SMALL, OO7Config, load_database
 from repro.sources.relationaldb import RelationalDatabase
 from repro.wrappers import (

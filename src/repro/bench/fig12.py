@@ -10,7 +10,7 @@ of 4096-byte pages, uniform ``Id``), response time against selectivity in
   the paper's 0.025 s / 0.009 s);
 * **Calibration** — the [GST96]-style calibrated estimate: a linear
   model fitted on low-selectivity probes
-  (:mod:`repro.core.calibration`), which overshoots as the page accesses
+  (:mod:`repro.mediator.probe_fit`), which overshoots as the page accesses
   saturate;
 * **Yao formula** — the wrapper-exported Figure 13 rule, evaluated
   through the *actual* blended-cost-model pipeline (CDL compilation,
@@ -28,11 +28,11 @@ from dataclasses import asdict, dataclass, field
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.logical import Scan, Select
 from repro.bench.harness import ERROR_HEADERS, ErrorSummary, format_table
-from repro.core.calibration import CalibrationResult, calibrate_wrapper
 from repro.core.estimator import CostEstimator
 from repro.core.generic import CoefficientSet, standard_repository
 from repro.mediator.registration import register_wrapper
 from repro.mediator.catalog import MediatorCatalog
+from repro.mediator.probe_fit import CalibrationResult, calibrate_wrapper
 from repro.oo7 import PAPER, OO7Config, load_database
 from repro.wrappers.objectstore import ObjectStoreWrapper
 

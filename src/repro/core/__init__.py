@@ -1,6 +1,5 @@
 """The paper's primary contribution: the extensible blended cost model."""
 
-from repro.core.calibration import CalibrationResult, calibrate_wrapper
 from repro.core.estimator import (
     ConflictPolicy,
     CostEstimator,
@@ -16,7 +15,7 @@ from repro.core.generic import (
     install_local_model,
     standard_repository,
 )
-from repro.core.history import HistoryStore, OnlineCalibrator, plan_fingerprint
+from repro.core.history import HistoryStore, plan_fingerprint
 from repro.core.rules import (
     CostRule,
     OperatorPattern,
@@ -38,7 +37,6 @@ from repro.core.statistics import (
 
 __all__ = [
     "AttributeStats",
-    "CalibrationResult",
     "CoefficientSet",
     "CollectionStats",
     "ConflictPolicy",
@@ -51,14 +49,12 @@ __all__ = [
     "GenericCoefficients",
     "HistoryStore",
     "NodeEstimate",
-    "OnlineCalibrator",
     "OperatorPattern",
     "PlanEstimate",
     "RuleRepository",
     "Scope",
     "SourceEnvironment",
     "StatisticsCatalog",
-    "calibrate_wrapper",
     "install_generic_model",
     "install_local_model",
     "join_pattern",

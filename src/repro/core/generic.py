@@ -25,7 +25,7 @@ mediator-local coefficients is installed at **local scope** for operators
 the mediator executes itself (§4.1 footnote).
 
 The numeric coefficients live in :class:`GenericCoefficients`; the
-calibration procedure (:mod:`repro.core.calibration`) estimates them per
+registration probe fit (:mod:`repro.mediator.probe_fit`) estimates them per
 source class, following [DKS92]/[GST96].
 """
 
@@ -48,7 +48,6 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.logical import BindJoin, Join, PlanNode, Scan, Select, Submit
 from repro.core import selectivity as sel_mod
-from repro.sources.clock import ParallelClock
 from repro.core.formulas import PythonFormula, Value
 from repro.core.rules import (
     CostRule,
@@ -287,10 +286,36 @@ def _join_index(ctx, node: Join) -> AttributeStats | None:
 # ---------------------------------------------------------------------------
 
 
+def makespan(durations: list[float], max_concurrency: int | None = None) -> float:
+    """Completion time of ``durations`` under greedy list scheduling.
+
+    Branches are assigned, in order, to the earliest-available of
+    ``max_concurrency`` slots (unbounded when ``None``); the makespan is
+    the latest slot finish time.  With one slot this degenerates to the
+    sequential sum, with unbounded slots to the plain max.  The simulated
+    executor's :class:`~repro.sources.clock.ParallelClock` commits its
+    waves with this function, so estimate and simulation agree.
+    """
+    if not durations:
+        return 0.0
+    slots_count = (
+        len(durations)
+        if max_concurrency is None
+        else max(1, min(max_concurrency, len(durations)))
+    )
+    slots = [0.0] * slots_count
+    for duration in durations:
+        if duration < 0:
+            raise ValueError(f"negative branch duration: {duration}")
+        earliest = min(range(slots_count), key=lambda i: slots[i])
+        slots[earliest] += duration
+    return max(slots)
+
+
 def _makespan(ctx, waits: list[float]) -> float:
     """List-scheduled completion time of one dispatch wave, under the
     concurrency bound the executor declares (``ctx.execution``)."""
-    return ParallelClock.makespan(waits, ctx.execution.max_concurrency)
+    return makespan(waits, ctx.execution.max_concurrency)
 
 
 def _wave_total(ctx, submits_per_child, network_factor: float = 1.0) -> float:

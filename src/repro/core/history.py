@@ -1,25 +1,18 @@
-"""Historical costs — the §4.3.1 extension.
+"""Historical costs — the query-scope half of the §4.3.1 extension.
 
-Two mechanisms, both described in the paper:
+"A simple way to have very accurate cost is to extend the scope hierarchy
+with a query scope.  In the query scope, specific rules match a wrapper
+subquery exactly.  A new formula is added after a subquery has been
+executed and the associated formula are now real costs, not estimates."
+:class:`HistoryStore` turns each executed wrapper subquery into a
+query-scope rule whose formulas are the measured constants.
+Re-executing the same subquery *updates* the rule in place, so history
+never proliferates rules for one subquery — addressing the HERMES
+statistics-proliferation problem the paper discusses.
 
-* **Query-scope recording** ("A simple way to have very accurate cost is
-  to extend the scope hierarchy with a query scope.  In the query scope,
-  specific rules match a wrapper subquery exactly.  A new formula is added
-  after a subquery has been executed and the associated formula are now
-  real costs, not estimates."): :class:`HistoryStore` turns each executed
-  wrapper subquery into a query-scope rule whose formulas are the measured
-  constants.  Re-executing the same subquery *updates* the rule in place,
-  so history never proliferates rules for one subquery — addressing the
-  HERMES statistics-proliferation problem the paper discusses.
-
-* **Parameter adjustment** ("One solution takes existing formulas and
-  adjusts the input parameters until the formula returns a cost close to
-  real execution the cost.  Thus, we store only the adjusted parameters
-  instead of new formulas."): :class:`OnlineCalibrator` maintains one
-  multiplicative adjustment per source — an exponentially smoothed ratio
-  of actual to estimated cost — and applies it to the source's calibrated
-  coefficients, so *all* formulas sharing those parameters improve at
-  once, including for nearby (not identical) subqueries.
+The other half, parameter adjustment ("we store only the adjusted
+parameters instead of new formulas"), is the calibration overlay fitted
+by :class:`repro.mediator.calibration.Calibrator`.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.algebra.logical import PlanNode, Submit
 from repro.core.formulas import Number, Formula
-from repro.core.generic import CoefficientSet, GenericCoefficients
 from repro.core.rules import CostRule, OperatorPattern, Var
 from repro.core.scopes import RuleRepository
 
@@ -164,49 +156,3 @@ class HistoryStore:
             self.record(node.child, node.wrapper, result, object_size)
             recorded += 1
         return recorded
-
-
-@dataclass
-class _Adjustment:
-    factor: float = 1.0
-    observations: int = 0
-
-
-class OnlineCalibrator:
-    """Per-source multiplicative parameter adjustment (§4.3.1).
-
-    ``alpha`` is the smoothing weight of new observations.  The adjusted
-    coefficient sets produced by :meth:`apply` improve every generic-model
-    formula of the source simultaneously — including for subqueries that
-    "vary only by the constant used [in] a predicate", which query-scope
-    recording cannot help with.
-    """
-
-    def __init__(self, alpha: float = 0.4) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._adjustments: dict[str, _Adjustment] = {}
-
-    def observe(self, source: str, estimated_ms: float, actual_ms: float) -> float:
-        """Fold one (estimate, measurement) pair in; returns the factor."""
-        if estimated_ms <= 0:
-            return self.factor(source)
-        ratio = actual_ms / estimated_ms
-        adjustment = self._adjustments.setdefault(source, _Adjustment())
-        if adjustment.observations == 0:
-            adjustment.factor = ratio
-        else:
-            adjustment.factor += self.alpha * (ratio - adjustment.factor)
-        adjustment.observations += 1
-        return adjustment.factor
-
-    def factor(self, source: str) -> float:
-        adjustment = self._adjustments.get(source)
-        return adjustment.factor if adjustment is not None else 1.0
-
-    def apply(self, coefficients: CoefficientSet) -> None:
-        """Install adjusted per-source coefficients into a set."""
-        for source, adjustment in self._adjustments.items():
-            base: GenericCoefficients = coefficients.for_source(source)
-            coefficients.set_source(source, base.scaled(adjustment.factor))

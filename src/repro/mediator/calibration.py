@@ -116,8 +116,6 @@ class CalibrationFit:
     updates: list[CoefficientUpdate] = field(default_factory=list)
     #: Keys seen in the window but left alone, with the reason.
     skipped: dict[str, str] = field(default_factory=dict)
-    #: Pooled observations that informed the fit (fitted keys only).
-    observations: int = 0
     #: Mean q-error of the window across all considered keys — the
     #: "how wrong were we" gauge the service exports.
     window_mean_q: float = 0.0
@@ -134,8 +132,6 @@ class CalibrationOverlay:
     version: int
     multipliers: dict[CoefficientKey, float] = field(default_factory=dict)
     note: str = ""
-    #: Observations behind the fit that produced this version.
-    fitted_observations: int = 0
 
     def multiplier_for(self, wrapper: str, variable: str) -> float:
         """The fitted multiplier, identity when none was fitted."""
@@ -185,7 +181,6 @@ class CalibrationState:
         self,
         updates: dict[CoefficientKey, float] | list[CoefficientUpdate],
         note: str = "",
-        observations: int = 0,
     ) -> CalibrationOverlay:
         """Append a new overlay: active coefficients + the updates.
 
@@ -196,10 +191,7 @@ class CalibrationState:
         merged = dict(self.active.multipliers)
         merged.update(updates)
         overlay = CalibrationOverlay(
-            version=len(self.versions),
-            multipliers=merged,
-            note=note,
-            fitted_observations=observations,
+            version=len(self.versions), multipliers=merged, note=note
         )
         self.versions.append(overlay)
         self.active_version = overlay.version
@@ -293,7 +285,6 @@ class Calibrator:
                     samples=pool.samples,
                 )
             )
-            fit.observations += pool.samples
         return fit
 
     def propose(self, previous: float, measured_ratio: float) -> float:

@@ -146,16 +146,13 @@ class MediatorCatalog:
         self,
         updates: "dict[CoefficientKey, float] | list[CoefficientUpdate]",
         note: str = "",
-        observations: int = 0,
     ) -> CalibrationOverlay:
         """Install a new calibration overlay version.
 
         Bumps :attr:`version`: every cached plan was costed under the
         previous coefficients and is now stale.
         """
-        overlay = self.calibration.apply(
-            updates, note=note, observations=observations
-        )
+        overlay = self.calibration.apply(updates, note=note)
         self.version += 1
         return overlay
 

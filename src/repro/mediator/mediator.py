@@ -171,7 +171,7 @@ class Mediator:
 
     # -- calibration (§4.3 feedback loop) ---------------------------------------
 
-    def apply_calibration(self, updates, note: str = "", observations: int = 0):
+    def apply_calibration(self, updates, note: str = ""):
         """Install a calibration overlay and drop every stale estimate.
 
         ``updates`` is a ``{CoefficientKey: multiplier}`` dict or a list
@@ -180,9 +180,7 @@ class Mediator:
         keeps nothing between plans, so the next one is costed under the
         new overlay.
         """
-        return self.catalog.apply_calibration(
-            updates, note=note, observations=observations
-        )
+        return self.catalog.apply_calibration(updates, note=note)
 
     def rollback_calibration(self, version: int):
         """Re-activate a prior overlay version (0 = seed behaviour)."""

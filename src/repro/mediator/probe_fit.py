@@ -1,4 +1,5 @@
-"""The calibration procedure of [DKS92]/[GST96] (§5, related work §6).
+"""The registration probe fit: the calibration procedure of [DKS92]/[GST96]
+(§5, related work §6).
 
 "First, several invariant coefficients appearing in cost formulas are
 isolated.  Then, a set of queries on a calibrating database on each local

@@ -134,11 +134,6 @@ class RuleDrift:
     def mean_q(self) -> float:
         return self.sum_q / self.count if self.count else 0.0
 
-    @property
-    def geo_mean_ratio(self) -> float:
-        """Geometric-mean actual/estimate ratio (1.0 = unbiased)."""
-        return math.exp(self.sum_log_ratio / self.count) if self.count else 1.0
-
 
 class DriftTracker:
     """Joins executed submits against their estimates, per (scope, rule).
@@ -282,7 +277,6 @@ class DriftTracker:
                 "mean_q_error": a.mean_q,
                 "max_q_error": a.max_q,
                 "sum_log_ratio": a.sum_log_ratio,
-                "geo_mean_ratio": a.geo_mean_ratio,
                 "last_estimated": a.last_estimated,
                 "last_actual": a.last_actual,
             }
@@ -302,7 +296,6 @@ class DriftTracker:
                         "mean_q_error": 0.0,
                         "max_q_error": 0.0,
                         "sum_log_ratio": 0.0,
-                        "geo_mean_ratio": 1.0,
                         "last_estimated": 0.0,
                         "last_actual": 0.0,
                     }

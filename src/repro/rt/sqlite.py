@@ -45,9 +45,9 @@ from repro.algebra.logical import (
     Sort,
     strip_submits,
 )
-from repro.core.calibration import fit_line
 from repro.core.statistics import AttributeStats, CollectionStats
 from repro.errors import PlanError
+from repro.mediator.probe_fit import fit_line
 from repro.oo7 import generator, schema
 from repro.sources.pages import Row
 from repro.wrappers.base import CostInfoExport, ExecutionResult, Wrapper
@@ -214,7 +214,7 @@ class SQLiteWrapper(Wrapper):
         plus range selects on the table's first indexed numeric
         attribute at a few selectivities.  The per-point minimum over
         ``repeats`` runs suppresses scheduler noise; the fit is
-        :func:`repro.core.calibration.fit_line`.
+        :func:`repro.mediator.probe_fit.fit_line`.
         """
         stats = self._statistics[table]
         points: list[tuple[float, float]] = []

@@ -120,7 +120,6 @@ class CalibrationManager:
                     f"service fit #{self.fits_attempted} over "
                     f"{self.window_queries} queries"
                 ),
-                observations=fit.observations,
             )
             self.overlays_applied += 1
         self._export_metrics(fit)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.generic import makespan
+
 
 @dataclass
 class CostProfile:
@@ -203,32 +205,6 @@ class ParallelClock:
         self.stats = ParallelStats()
         self._wave: list[float] | None = None
 
-    @staticmethod
-    def makespan(
-        durations: "list[float]", max_concurrency: int | None = None
-    ) -> float:
-        """Completion time of ``durations`` under greedy list scheduling.
-
-        Branches are assigned, in order, to the earliest-available of
-        ``max_concurrency`` slots (unbounded when ``None``); the makespan
-        is the latest slot finish time.  With one slot this degenerates to
-        the sequential sum, with unbounded slots to the plain max.
-        """
-        if not durations:
-            return 0.0
-        slots_count = (
-            len(durations)
-            if max_concurrency is None
-            else max(1, min(max_concurrency, len(durations)))
-        )
-        slots = [0.0] * slots_count
-        for duration in durations:
-            if duration < 0:
-                raise ValueError(f"negative branch duration: {duration}")
-            earliest = min(range(slots_count), key=lambda i: slots[i])
-            slots[earliest] += duration
-        return max(slots)
-
     # -- wave lifecycle -----------------------------------------------------
 
     @property
@@ -260,7 +236,7 @@ class ParallelClock:
         wave = WaveStats(
             branches=len(durations),
             sequential_ms=sum(durations),
-            makespan_ms=self.makespan(durations, self.max_concurrency),
+            makespan_ms=makespan(durations, self.max_concurrency),
         )
         self.clock.advance(wave.makespan_ms)
         self.stats.waves += 1

@@ -12,6 +12,7 @@ from repro.bench.clustering import run_clustering
 from repro.bench.federation import MODELS, run_federation_experiment
 from repro.bench.fig12 import run_fig12
 from repro.bench.harness import ErrorSummary, format_table
+from repro.bench import history_bench
 from repro.bench.history_bench import run_history
 from repro.bench.overhead import run_overhead
 from repro.bench.plan_quality import run_plan_quality
@@ -110,6 +111,23 @@ class TestHistoryModule:
         assert result.convergence_rows[0][0] == 1
         assert "query-scope" in result.report()
         assert result.base_error > 0
+
+    def test_adjusted_arm_installs_one_overlay(self, monkeypatch):
+        """Parameter adjustment is the service's fitter: the adjusted arm
+        (the third mediator built) ends on overlay version 1, which
+        raises the source's TotalTime to undo the ×4 optimistic bias;
+        the base and query-scope arms stay on the identity overlay."""
+        build, built = history_bench.build_mediator, []
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(history_bench, "build_mediator", recording_build)
+        history_bench.run_generalization(config=TINY)
+        states = [mediator.catalog.calibration for mediator in built]
+        assert [state.active_version for state in states] == [0, 0, 1]
+        assert states[2].multiplier_for("oo7", "TotalTime") > 1.0
 
 
 class TestClusteringModule:

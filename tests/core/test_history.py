@@ -1,16 +1,12 @@
-"""Tests for historical costs (§4.3.1): query-scope recording and
-parameter adjustment."""
+"""Tests for historical costs (§4.3.1): query-scope recording.  Parameter
+adjustment is the calibration overlay (``tests/mediator/test_calibration.py``)."""
 
 import pytest
 
 from repro.algebra.builders import scan
 from repro.core.estimator import CostEstimator
-from repro.core.generic import CoefficientSet, GenericCoefficients, standard_repository
-from repro.core.history import (
-    HistoryStore,
-    OnlineCalibrator,
-    plan_fingerprint,
-)
+from repro.core.generic import CoefficientSet, standard_repository
+from repro.core.history import HistoryStore, plan_fingerprint
 from repro.core.statistics import AttributeStats, CollectionStats, StatisticsCatalog
 from repro.wrappers.base import ExecutionResult
 
@@ -139,55 +135,4 @@ class TestMediatorHistoryIntegration:
         assert all(
             scoped.scope.name != "QUERY"
             for scoped in mediator.repository.rules_for_source("oo7")
-        )
-
-
-class TestOnlineCalibrator:
-    def test_first_observation_sets_factor(self):
-        calibrator = OnlineCalibrator()
-        factor = calibrator.observe("w", estimated_ms=100.0, actual_ms=150.0)
-        assert factor == pytest.approx(1.5)
-
-    def test_smoothing_converges(self):
-        calibrator = OnlineCalibrator(alpha=0.5)
-        for _ in range(20):
-            calibrator.observe("w", 100.0, 200.0)
-        assert calibrator.factor("w") == pytest.approx(2.0, rel=0.01)
-
-    def test_zero_estimate_ignored(self):
-        calibrator = OnlineCalibrator()
-        calibrator.observe("w", 0.0, 100.0)
-        assert calibrator.factor("w") == 1.0
-
-    def test_unknown_source_factor_is_one(self):
-        assert OnlineCalibrator().factor("nobody") == 1.0
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            OnlineCalibrator(alpha=0.0)
-
-    def test_apply_scales_source_coefficients(self):
-        calibrator = OnlineCalibrator()
-        calibrator.observe("w", 100.0, 200.0)
-        coefficients = CoefficientSet(GenericCoefficients(ms_per_object_scanned=10.0))
-        calibrator.apply(coefficients)
-        assert coefficients.for_source("w").ms_per_object_scanned == pytest.approx(
-            20.0
-        )
-        # Other sources keep the default.
-        assert coefficients.for_source("x").ms_per_object_scanned == 10.0
-
-    def test_adjustment_improves_generalization(self):
-        """The §4.3.1 claim: adjusting shared parameters helps *nearby*
-        queries, not just identical ones."""
-        calibrator = OnlineCalibrator()
-        true_per_object = 20.0
-        estimated_per_object = 10.0
-        # Observe on one query shape...
-        calibrator.observe("w", 1000 * estimated_per_object, 1000 * true_per_object)
-        factor = calibrator.factor("w")
-        # ...and the adjusted model predicts a different-size query better.
-        adjusted = estimated_per_object * factor
-        assert abs(adjusted - true_per_object) < abs(
-            estimated_per_object - true_per_object
         )

@@ -43,7 +43,6 @@ def drift_row(
         "wrapper": wrapper,
         "count": count,
         "sum_log_ratio": count * math.log(ratio),
-        "geo_mean_ratio": ratio,
         "mean_q_error": mean_q,
         "max_q_error": mean_q,
     }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.calibration import (
+from repro.mediator.probe_fit import (
     CalibrationResult,
     DEFAULT_PROBE_SELECTIVITIES,
     fit_line,

@@ -177,7 +177,8 @@ class TestWrapperAttribution:
         assert row["sum_log_ratio"] == pytest.approx(
             math.log(2.0) + math.log(8.0)
         )
-        assert row["geo_mean_ratio"] == pytest.approx(4.0)  # sqrt(2 * 8)
+        geo_mean = math.exp(row["sum_log_ratio"] / row["count"])
+        assert geo_mean == pytest.approx(4.0)  # sqrt(2 * 8)
 
 
 class TestZeroSampleRows:

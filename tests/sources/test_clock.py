@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.generic import makespan
 from repro.sources.clock import (
     ClockStats,
     CostProfile,
@@ -65,24 +66,24 @@ class TestSimClock:
 
 class TestMakespan:
     def test_empty_wave_is_free(self):
-        assert ParallelClock.makespan([]) == 0.0
+        assert makespan([]) == 0.0
 
     def test_unbounded_is_max(self):
-        assert ParallelClock.makespan([5.0, 3.0, 4.0]) == 5.0
+        assert makespan([5.0, 3.0, 4.0]) == 5.0
 
     def test_single_slot_is_sum(self):
-        assert ParallelClock.makespan([5.0, 3.0, 4.0], max_concurrency=1) == 12.0
+        assert makespan([5.0, 3.0, 4.0], max_concurrency=1) == 12.0
 
     def test_two_slots_list_schedules(self):
         # Greedy earliest-slot: 6 | 2+2+2 = both slots finish at 6.
-        assert ParallelClock.makespan([6.0, 2.0, 2.0, 2.0], max_concurrency=2) == 6.0
+        assert makespan([6.0, 2.0, 2.0, 2.0], max_concurrency=2) == 6.0
 
     def test_cap_beyond_branch_count_is_max(self):
-        assert ParallelClock.makespan([4.0, 1.0], max_concurrency=16) == 4.0
+        assert makespan([4.0, 1.0], max_concurrency=16) == 4.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            ParallelClock.makespan([1.0, -2.0])
+            makespan([1.0, -2.0])
 
 
 class TestParallelClock:

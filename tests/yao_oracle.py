@@ -91,7 +91,7 @@ def index_scan_cost_linear(
     proportional to the selectivity", §5).  Because the true page-access
     curve saturates (Yao), a coefficient fitted on low-selectivity probes
     overshoots at high selectivity — the gap Figure 12 displays.  The
-    coefficient itself comes from :mod:`repro.core.calibration`.
+    coefficient itself comes from :mod:`repro.mediator.probe_fit`.
     """
     selectivity = max(0.0, min(1.0, selectivity))
     return ms_per_selected_object * selectivity * count_object
